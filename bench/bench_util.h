@@ -152,8 +152,10 @@ inline std::string format_cpu(double seconds) {
   if (seconds >= 60.0) {
     const int minutes = static_cast<int>(seconds / 60.0);
     std::snprintf(buf, sizeof(buf), "%d m %.1f s", minutes, seconds - 60.0 * minutes);
-  } else {
+  } else if (seconds >= 1.0) {
     std::snprintf(buf, sizeof(buf), "%.1f s", seconds);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.0f ms", seconds * 1e3);
   }
   return buf;
 }

@@ -102,8 +102,8 @@ bool section_enabled(const char* name) {
 
 int main() {
   std::printf("=== E7: CPU-time scaling of statistical sizing (min mu) ===\n\n");
-  std::printf("%8s %8s | %12s %10s | %12s %10s\n", "gates", "depth", "reduced", "mu",
-              "full-space", "mu");
+  std::printf("%8s %8s | %12s %6s %6s %10s | %12s %10s\n", "gates", "depth", "reduced", "its",
+              "evals", "mu", "full-space", "mu");
 
   const char* env = std::getenv("STATSIZE_METHOD");
   const bool force_full = env != nullptr && std::string(env) == "full";
@@ -126,6 +126,8 @@ int main() {
         .field("depth", c.depth())
         .field("method", "reduced")
         .field("wall_ms", rr.wall_seconds * 1e3)
+        .field("iterations", rr.iterations)
+        .field("evaluations", rr.evaluations)
         .field("mu", rr.circuit_delay.mu);
 
     std::string fs_time = "(skipped)";
@@ -150,9 +152,9 @@ int main() {
         ++failures;
       }
     }
-    std::printf("%8d %8d | %12s %10.2f | %12s %10s\n", gates, c.depth(),
-                bench::format_cpu(rr.wall_seconds).c_str(), rr.circuit_delay.mu,
-                fs_time.c_str(), fs_mu.c_str());
+    std::printf("%8d %8d | %12s %6d %6d %10.2f | %12s %10s\n", gates, c.depth(),
+                bench::format_cpu(rr.wall_seconds).c_str(), rr.iterations, rr.evaluations,
+                rr.circuit_delay.mu, fs_time.c_str(), fs_mu.c_str());
   }
   }  // section "sizing"
 

@@ -338,10 +338,7 @@ NormalRV ReducedEvaluator::forward_sweep(const netlist::TimingView& view,
   return tmax;
 }
 
-template <class SeedFn>
-NormalRV ReducedEvaluator::eval_with_grad_impl(const std::vector<double>& speed,
-                                               const SeedFn& seed_fn,
-                                               std::vector<double>& grad) const {
+const netlist::TimingView& ReducedEvaluator::checked_view(const std::vector<double>& speed) const {
   const std::size_t n =
       static_cast<std::size_t>(circuit_ != nullptr ? circuit_->num_nodes() : view_->num_nodes());
   if (speed.size() != n) throw std::invalid_argument("speed must be indexed by NodeId");
@@ -353,7 +350,20 @@ NormalRV ReducedEvaluator::eval_with_grad_impl(const std::vector<double>& speed,
         "ReducedEvaluator::eval_with_grad: circuit has no primary outputs, so the "
         "circuit delay (and its gradient) is undefined");
   }
-  const netlist::TimingView& view = resolve_view();
+  return resolve_view();
+}
+
+NormalRV ReducedEvaluator::eval_forward(const std::vector<double>& speed) const {
+  return forward_sweep(checked_view(speed), speed);
+}
+
+template <class Seed>
+NormalRV ReducedEvaluator::eval_with_grad_impl(const std::vector<double>& speed,
+                                               const Seed& seed_fn,
+                                               std::vector<double>& grad) const {
+  const netlist::TimingView& view = checked_view(speed);
+  const std::size_t n = speed.size();
+  const std::vector<NodeId>& outs = view.outputs();
 
   // ---- Forward sweep (full or dirty-cone incremental), recording the tape.
   const NormalRV tmax = forward_sweep(view, speed);
@@ -516,6 +526,11 @@ NormalRV ReducedEvaluator::eval_with_grad(const std::vector<double>& speed, doub
                                           double seed_var, std::vector<double>& grad) const {
   return eval_with_grad_impl(
       speed, [&](const NormalRV&) { return std::pair<double, double>(seed_mu, seed_var); }, grad);
+}
+
+NormalRV ReducedEvaluator::eval_with_grad(const std::vector<double>& speed, const SeedFn& seed,
+                                          std::vector<double>& grad) const {
+  return eval_with_grad_impl(speed, seed, grad);
 }
 
 double ReducedEvaluator::eval_metric(const std::vector<double>& speed, double sigma_weight,

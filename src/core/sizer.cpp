@@ -218,6 +218,7 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
     };
 
     int attempts_run = 0;
+    int evaluations = 0;
     double rho_scale = 1.0;
     for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
       if (attempt > 0 && runtime::cancel_requested()) break;  // no budget left for retries
@@ -236,6 +237,7 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
         r = degraded(start, "numerical-breakdown", e.site());
       }
       ++attempts_run;
+      evaluations += r.evaluations;
       if (attempt == 0) {
         result = std::move(r);
       } else {
@@ -258,6 +260,7 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
       rho_scale = std::max(rho_scale * kRetryRhoBackoff, kMinRhoScale);
     }
     result.retries_used = attempts_run - 1;
+    result.evaluations = evaluations;
   }
   // The final SSTA scoring runs outside the cancel scope: an expired deadline
   // must not poison the returned timing numbers.
@@ -336,6 +339,7 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
       result.converged = warm.converged;
       result.status += "+fallback:" + warm.status;
       result.iterations += warm.iterations;
+      result.evaluations += warm.evaluations;
       result.warm.speed = result.speed;
     }
   }
@@ -369,20 +373,26 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
   const double obj_k =
       spec_.objective.kind == ObjectiveKind::kDelay ? spec_.objective.sigma_weight : 0.0;
 
-  // F(S) = objective + augmented-Lagrangian constraint terms; one adjoint
-  // sweep delivers the gradient of any linear combination of (mu, var).
-  auto eval_al = [&](const std::vector<double>& xs, std::vector<double>& grad) {
-    for (std::size_t i = 0; i < ng; ++i) speed[static_cast<std::size_t>(gates[i])] = xs[i];
-    const stat::NormalRV probe = eval.eval(speed);
-    const double sigma = probe.sigma();
+  // F(S) = objective + augmented-Lagrangian constraint terms, a function of
+  // the circuit delay Tmax; one adjoint sweep delivers the gradient of any
+  // linear combination of (mu, var). A value-only call (grad == nullptr) is
+  // one forward sweep that records the tape; L-BFGS asks for the gradient
+  // right after it at the same S, so that call re-propagates no gate and runs
+  // the adjoint alone, seeded from the tape's own Tmax.
+  struct AlTerms {
+    double f = 0.0;
+    double seed_mu = 0.0;
+    double seed_var = 0.0;
+  };
+  auto al_terms = [&](const std::vector<double>& xs, const stat::NormalRV& t) {
+    const double sigma = t.sigma();
     const double inv2s = sigma > 1e-12 ? 0.5 / sigma : 0.0;
-
     double f = 0.0;
     double seed_mu = 0.0;
     double seed_var = 0.0;
     switch (spec_.objective.kind) {
       case ObjectiveKind::kDelay:
-        f = probe.mu + obj_k * sigma;
+        f = t.mu + obj_k * sigma;
         seed_mu = 1.0;
         seed_var = obj_k * inv2s;
         break;
@@ -401,7 +411,7 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
     }
     if (has_constraint) {
       const DelayConstraint& dc = *spec_.delay_constraint;
-      const double h = probe.mu + dc.sigma_weight * sigma - dc.bound;
+      const double h = t.mu + dc.sigma_weight * sigma - dc.bound;
       double dpen_dh;
       if (dc.equality) {
         f += lambda * h + 0.5 * rho * h * h;
@@ -414,37 +424,54 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
       seed_mu += dpen_dh;
       seed_var += dpen_dh * dc.sigma_weight * inv2s;
     }
+    return AlTerms{f, seed_mu, seed_var};
+  };
 
-    if (seed_mu != 0.0 || seed_var != 0.0) {
-      eval.eval_with_grad(speed, seed_mu, seed_var, full_grad);
+  auto eval_al = [&](const std::vector<double>& xs, std::vector<double>* grad) {
+    for (std::size_t i = 0; i < ng; ++i) speed[static_cast<std::size_t>(gates[i])] = xs[i];
+    stat::NormalRV t;
+    AlTerms terms;
+    if (grad == nullptr) {
+      t = eval.eval_forward(speed);
+      terms = al_terms(xs, t);
     } else {
-      full_grad.assign(speed.size(), 0.0);
-    }
-    grad.resize(ng);
-    for (std::size_t i = 0; i < ng; ++i) {
-      grad[i] = full_grad[static_cast<std::size_t>(gates[i])];
-      if (spec_.objective.kind == ObjectiveKind::kArea) {
-        grad[i] += 1.0;
-      } else if (spec_.objective.kind == ObjectiveKind::kWeighted) {
-        grad[i] += spec_.objective.weights[static_cast<std::size_t>(gates[i])];
+      t = eval.eval_with_grad(
+          speed,
+          [&](const stat::NormalRV& tmax) {
+            terms = al_terms(xs, tmax);
+            return std::pair<double, double>(terms.seed_mu, terms.seed_var);
+          },
+          full_grad);
+      grad->resize(ng);
+      for (std::size_t i = 0; i < ng; ++i) {
+        (*grad)[i] = full_grad[static_cast<std::size_t>(gates[i])];
+        if (spec_.objective.kind == ObjectiveKind::kArea) {
+          (*grad)[i] += 1.0;
+        } else if (spec_.objective.kind == ObjectiveKind::kWeighted) {
+          (*grad)[i] += spec_.objective.weights[static_cast<std::size_t>(gates[i])];
+        }
       }
     }
-    // Tripwires at the evaluation boundary (DESIGN.md §9): name the gate, not
-    // "NaN somewhere".
-    if (fault::hit(fault::kReducedEval)) f = std::numeric_limits<double>::quiet_NaN();
-    if (!std::isfinite(f)) {
-      throw nlp::EvalBreakdown("reduced-space objective (mu=" + std::to_string(probe.mu) +
-                               ", sigma=" + std::to_string(sigma) + ")");
+    // Tripwires at the evaluation boundary (DESIGN.md §9): name the call and
+    // the gate, not "NaN somewhere".
+    if (fault::hit(fault::kReducedEval)) terms.f = std::numeric_limits<double>::quiet_NaN();
+    if (!std::isfinite(terms.f)) {
+      throw nlp::EvalBreakdown(std::string("reduced-space objective (") +
+                               (grad == nullptr ? "value" : "gradient") +
+                               " call, mu=" + std::to_string(t.mu) +
+                               ", sigma=" + std::to_string(t.sigma()) + ")");
     }
-    for (std::size_t i = 0; i < ng; ++i) {
-      if (!std::isfinite(grad[i])) {
-        throw nlp::EvalBreakdown("reduced-space gradient (gate " +
-                                 (circuit_ != nullptr ? circuit_->node(gates[i]).name
-                                                      : "#" + std::to_string(gates[i])) +
-                                 ")");
+    if (grad != nullptr) {
+      for (std::size_t i = 0; i < ng; ++i) {
+        if (!std::isfinite((*grad)[i])) {
+          throw nlp::EvalBreakdown("reduced-space gradient (gate " +
+                                   (circuit_ != nullptr ? circuit_->node(gates[i]).name
+                                                        : "#" + std::to_string(gates[i])) +
+                                   ")");
+        }
       }
     }
-    return f;
+    return terms.f;
   };
 
   SizingResult result;
@@ -462,6 +489,7 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
   int ckpt_outer = -1;
   bool have_ckpt = false;
   int total_it = 0;
+  int total_evals = 0;
   int outers_run = 0;
 
   try {
@@ -469,6 +497,7 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
       const nlp::LbfgsResult r = minimize_projected_lbfgs(eval_al, x, lo, hi, lb);
       result.converged = r.converged;
       result.iterations = r.iterations;
+      total_evals = r.evaluations;
       result.status = std::string("reduced/") + (r.converged ? "converged" : "max-iterations");
     } else {
       const DelayConstraint& dc = *spec_.delay_constraint;
@@ -488,9 +517,13 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
                                           : std::max(lb.tol, 1e-2 / std::pow(4.0, outer));
         const nlp::LbfgsResult r = minimize_projected_lbfgs(eval_al, x, lo, hi, lb_outer);
         total_it += r.iterations;
+        total_evals += r.evaluations;
         ++outers_run;
+        // The value at the accepted x, read off the recorded tape: L-BFGS's
+        // last call was usually the gradient there (after a failed line
+        // search, a rejected trial whose few differing gates re-propagate).
         for (std::size_t i = 0; i < ng; ++i) speed[static_cast<std::size_t>(gates[i])] = x[i];
-        const stat::NormalRV probe = eval.eval(speed);
+        const stat::NormalRV probe = eval.eval_forward(speed);
         const double h = probe.mu + dc.sigma_weight * probe.sigma() - dc.bound;
         viol = dc.equality ? std::abs(h) : std::max(0.0, h);
         if (options.verbose) {
@@ -540,6 +573,7 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
   }
 
   result.outer_iterations = has_constraint ? outers_run : 1;
+  result.evaluations = total_evals;
   result.speed.assign(static_cast<std::size_t>(v.num_nodes()), 1.0);
   for (std::size_t i = 0; i < ng; ++i) {
     result.speed[static_cast<std::size_t>(gates[i])] = x[i];
@@ -547,9 +581,8 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
   result.warm.speed = result.speed;
   result.warm.lambda = lambda;
   result.warm.rho = rho;
-  std::vector<double> g;
   try {
-    result.objective_value = eval_al(x, g);
+    result.objective_value = eval_al(x, nullptr);
   } catch (...) {  // deadline already expired / still-armed tripwire
     result.objective_value = 0.0;
   }

@@ -87,6 +87,12 @@ struct SizingResult {
   double constraint_violation = 0.0;
   int iterations = 0;               ///< total inner iterations
   int outer_iterations = 0;         ///< multiplier/penalty outer iterations
+  /// Reduced-space objective evaluations — L-BFGS start points and
+  /// line-search trials, one forward sweep each — summed over outer
+  /// iterations and over every retry attempt, kept or not (a full-space
+  /// run's reduced pre-solve counts only when its sizing is returned; the
+  /// full-space solver itself counts iterations only).
+  int evaluations = 0;
   double wall_seconds = 0.0;
 
   /// State to seed a follow-up resize of a perturbed instance from.

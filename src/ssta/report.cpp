@@ -60,6 +60,8 @@ void write_json_report(std::ostream& out, const netlist::Circuit& circuit,
     w.key("status").value(s.status);
     w.key("converged").value(s.converged);
     w.key("iterations").value(s.iterations);
+    w.key("outer_iterations").value(s.outer_iterations);
+    w.key("evaluations").value(s.evaluations);
     w.key("wall_seconds").value(s.wall_seconds);
     w.key("resilience").begin_object();
     w.key("retries_used").value(s.retries_used);

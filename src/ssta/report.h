@@ -23,6 +23,8 @@ struct SolveReport {
   std::string status;             ///< e.g. "full-space/converged", ".../time-limit"
   bool converged = false;
   int iterations = 0;
+  int outer_iterations = 0;
+  int evaluations = 0;            ///< objective evaluations (SizingResult::evaluations)
   double wall_seconds = 0.0;
   int retries_used = 0;           ///< multistart restarts consumed
   bool from_checkpoint = false;   ///< sizing restored from a best-iterate checkpoint

@@ -8,6 +8,7 @@
 #include "core/spec.h"
 
 #include "netlist/generators.h"
+#include "netlist/timing_view.h"
 #include "nlp/derivative_check.h"
 #include "ssta/ssta.h"
 
@@ -411,6 +412,48 @@ TEST(ReducedEvaluatorTest, EvalMetricEqualsProbeSeededAdjoint) {
   const NormalRV t = eval.eval_with_grad(speed, 1.0, seed_var, want_grad);
 
   EXPECT_EQ(metric, t.mu + k * t.sigma());
+  EXPECT_EQ(grad, want_grad);
+}
+
+TEST(ReducedEvaluatorTest, ValueOnlyCallRecordsTheTapeForTheGradient) {
+  // A line search asks for values at its trials (eval_forward) and for the
+  // gradient at the accepted point right after. The value call must equal
+  // the stateless eval() bit for bit, and the gradient call after it must
+  // re-propagate nothing yet equal a cold gradient seeded from a probe.
+  const Circuit c = netlist::make_mcnc_like("apex2");
+  const ReducedEvaluator eval(c, {0.25, 0.0});
+  const double k = 3.0;
+  const auto seed = [k](const NormalRV& tmax) {
+    const double sigma = tmax.sigma();
+    return std::pair<double, double>(1.0, sigma > 1e-12 ? k / (2.0 * sigma) : 0.0);
+  };
+  std::vector<double> speed(static_cast<std::size_t>(c.num_nodes()), 1.4);
+  std::vector<double> grad;
+  eval.eval_with_grad(speed, seed, grad);  // a tape at a neighbouring point
+  int moved = 0;
+  for (NodeId id : c.view().gates_in_topo_order()) {
+    if (id % 7 == 0) {
+      speed[static_cast<std::size_t>(id)] = 2.1;
+      ++moved;
+    }
+  }
+  ASSERT_GT(moved, 0);
+
+  const NormalRV value = eval.eval_forward(speed);
+  const NormalRV stateless = eval.eval(speed);
+  EXPECT_EQ(value.mu, stateless.mu);
+  EXPECT_EQ(value.var, stateless.var);
+
+  const NormalRV t = eval.eval_with_grad(speed, seed, grad);
+  EXPECT_EQ(eval.last_forward_recomputes(), 0u);
+  EXPECT_EQ(t.mu, value.mu);
+  EXPECT_EQ(t.var, value.var);
+
+  const ReducedEvaluator cold(c, {0.25, 0.0});
+  const NormalRV probe = cold.eval(speed);
+  std::vector<double> want_grad;
+  cold.eval_with_grad(speed, 1.0, seed(probe).second, want_grad);
+  EXPECT_EQ(cold.last_forward_recomputes(), static_cast<std::size_t>(c.num_gates()));
   EXPECT_EQ(grad, want_grad);
 }
 

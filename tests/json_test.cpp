@@ -99,6 +99,26 @@ TEST(JsonReport, PerNodeSectionIsOptional) {
   EXPECT_EQ(out.str().find("\"arrival_mu\""), std::string::npos);
 }
 
+TEST(JsonReport, SolveSectionCarriesTheSolverCounts) {
+  const netlist::Circuit c = netlist::make_tree_circuit();
+  const ssta::DelayCalculator calc(c, {0.25, 0.0});
+  const std::vector<double> speed(static_cast<std::size_t>(c.num_nodes()), 1.0);
+  std::ostringstream out;
+  ssta::JsonReportOptions opt;
+  ssta::SolveReport solve;
+  solve.iterations = 151;
+  solve.outer_iterations = 4;
+  solve.evaluations = 227;
+  opt.solve = solve;
+  ssta::write_json_report(out, c, calc, speed, opt);
+  const util::JsonValue v = util::parse_json(out.str());
+  const util::JsonValue* s = v.find("solve");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->int_or("iterations", -1), 151);
+  EXPECT_EQ(s->int_or("outer_iterations", -1), 4);
+  EXPECT_EQ(s->int_or("evaluations", -1), 227);
+}
+
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------

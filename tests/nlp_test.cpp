@@ -10,6 +10,7 @@
 #include "nlp/tron.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <random>
 
@@ -634,6 +635,128 @@ TEST(ProjectedLbfgs, HighDimensionalQuadratic) {
   const LbfgsResult r = minimize_projected_lbfgs(fn, x, lo, hi, opt);
   EXPECT_TRUE(r.converged);
   for (int i = 0; i < n; i += 37) EXPECT_NEAR(x[static_cast<std::size_t>(i)], 1.0, 1e-5);
+}
+
+/// A coupled quadratic on [0, 1]^200 whose unconstrained minimizer lies
+/// outside the box in 4 of every 5 coordinates, so most variables end held at
+/// a bound with the gradient pushing outward.
+struct BoundActiveQuadratic {
+  static constexpr std::size_t n = 200;
+  std::vector<double> c;
+  std::vector<double> lo = std::vector<double>(n, 0.0);
+  std::vector<double> hi = std::vector<double>(n, 1.0);
+
+  BoundActiveQuadratic() : c(n) {
+    for (std::size_t i = 0; i < n; ++i) c[i] = i % 5 == 0 ? 0.5 : (i % 2 ? 3.0 : -2.0);
+  }
+
+  double operator()(const std::vector<double>& x, std::vector<double>* grad) const {
+    std::vector<double> t(n);
+    for (std::size_t i = 0; i < n; ++i) t[i] = x[i] - c[i];
+    if (grad != nullptr) grad->assign(n, 0.0);
+    double f = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double at = (1.0 + 9.0 * static_cast<double>(i) / (n - 1)) * t[i];
+      if (i > 0) at += 0.3 * t[i - 1];
+      if (i + 1 < n) at += 0.3 * t[i + 1];
+      if (grad != nullptr) (*grad)[i] = at;
+      f += 0.5 * t[i] * at;
+    }
+    return f;
+  }
+};
+
+TEST(ProjectedLbfgs, FreeVariableDirectionConvergesOnBoundActiveQuadratic) {
+  // The quasi-Newton step acts on the free variables only; the held ones
+  // would otherwise carry most of its descent and the line search would
+  // backtrack on every iteration (the full-space direction needs ~8 trials
+  // per iteration here and does not converge in 1000).
+  const BoundActiveQuadratic q;
+  long values = 0;
+  const ValueGradFn fn = [&](const std::vector<double>& x, std::vector<double>* grad) {
+    if (grad == nullptr) ++values;
+    return q(x, grad);
+  };
+  std::vector<double> x(q.n, 0.5);
+  LbfgsOptions opt;
+  opt.tol = 1e-8;
+  opt.max_iterations = 1000;
+  const LbfgsResult r = minimize_projected_lbfgs(fn, x, q.lo, q.hi, opt);
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(r.evaluations, values);
+  EXPECT_LE(values, 2L * r.iterations);
+  for (std::size_t i = 0; i < q.n; ++i) {
+    if (q.c[i] > 1.0) {
+      EXPECT_EQ(x[i], 1.0) << i;
+    } else if (q.c[i] < 0.0) {
+      EXPECT_EQ(x[i], 0.0) << i;
+    }
+  }
+}
+
+TEST(ProjectedLbfgs, ValueGradFnAsksForGradientsAtAcceptedPointsOnly) {
+  const BoundActiveQuadratic q;
+  struct Call {
+    std::vector<double> x;
+    bool grad;
+    double f;
+  };
+  std::vector<Call> calls;
+  const ValueGradFn fn = [&](const std::vector<double>& x, std::vector<double>* grad) {
+    const double f = q(x, grad);
+    calls.push_back({x, grad != nullptr, f});
+    return f;
+  };
+  std::vector<double> x(q.n, 0.5);
+  const LbfgsResult r = minimize_projected_lbfgs(fn, x, q.lo, q.hi, {});
+  ASSERT_TRUE(r.converged);
+  ASSERT_FALSE(calls.empty());
+
+  long gradients = 0;
+  long values = 0;
+  double last_accepted_f = std::numeric_limits<double>::infinity();
+  const std::vector<double>* last_accepted_x = nullptr;
+  for (std::size_t k = 0; k < calls.size(); ++k) {
+    if (!calls[k].grad) {
+      ++values;
+      continue;
+    }
+    ++gradients;
+    // Right after a value-only call at the same x...
+    ASSERT_GT(k, 0u);
+    EXPECT_FALSE(calls[k - 1].grad) << "call " << k;
+    EXPECT_EQ(calls[k - 1].x, calls[k].x) << "call " << k;
+    // ...and only at accepted points, whose values never increase beyond
+    // the Armijo test's round-off slack.
+    EXPECT_LE(calls[k].f, last_accepted_f + 1e-12 * (1.0 + std::abs(calls[k].f))) << "call " << k;
+    last_accepted_f = calls[k].f;
+    last_accepted_x = &calls[k].x;
+  }
+  // One gradient at the start and one per accepted step: the solver checks
+  // convergence once per iteration, at the latest accepted point.
+  EXPECT_EQ(gradients, r.iterations);
+  EXPECT_EQ(r.gradients, gradients);
+  EXPECT_EQ(r.evaluations, values);
+  ASSERT_NE(last_accepted_x, nullptr);
+  EXPECT_EQ(*last_accepted_x, x);
+}
+
+TEST(ProjectedLbfgs, GradFnMakesOneCallPerTrial) {
+  // The GradFn overload shares the implementation but keeps its contract:
+  // a trial computes value and gradient in one call, and an accepted trial
+  // is not evaluated again.
+  const BoundActiveQuadratic q;
+  std::vector<std::vector<double>> at;
+  const GradFn fn = [&](const std::vector<double>& x, std::vector<double>& g) {
+    at.push_back(x);
+    return q(x, &g);
+  };
+  std::vector<double> x(q.n, 0.5);
+  const LbfgsResult r = minimize_projected_lbfgs(fn, x, q.lo, q.hi, {});
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(static_cast<long>(at.size()), r.evaluations);
+  EXPECT_EQ(r.gradients, r.evaluations);
+  for (std::size_t k = 1; k < at.size(); ++k) EXPECT_NE(at[k - 1], at[k]) << "call " << k;
 }
 
 // Randomized equality-constrained quadratics: min ||x - a||^2 s.t. b^T x = 1.

@@ -13,7 +13,9 @@
 #include "runtime/cancel.h"
 #include "runtime/fault.h"
 #include "runtime/runtime.h"
+#include "ssta/ssta.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -461,6 +463,75 @@ TEST(SizerResilience, ReducedSpaceNaNNamesTheSite) {
       << broken.breakdown_site;
   expect_speeds_in_bounds(broken, spec.max_speed);
   EXPECT_TRUE(std::isfinite(broken.circuit_delay.mu));
+
+  // The site is reached from value-only line-search trials and from the
+  // gradient calls at accepted points. On a constrained solve, land one hit
+  // on each after the first outer iteration has left a checkpoint: both must
+  // name their call and restore that checkpoint.
+  SizingSpec cspec;
+  cspec.objective = Objective::min_area();
+  {
+    const ssta::DelayCalculator calc(c, cspec.sigma_model);
+    std::vector<double> s(static_cast<std::size_t>(c.num_nodes()), cspec.max_speed);
+    const double mu_fast = ssta::run_ssta(calc, s).circuit_delay.mu;
+    std::fill(s.begin(), s.end(), 1.0);
+    const double mu_slow = ssta::run_ssta(calc, s).circuit_delay.mu;
+    cspec.delay_constraint = core::DelayConstraint::at_most(0.5 * (mu_fast + mu_slow));
+  }
+  const Sizer csizer(c, cspec);
+  auto hits_in = [&](int max_outer) {
+    SizerOptions capped = o;
+    capped.max_outer_iterations = max_outer;
+    fault::ScopedFault count("reduced.eval:1000000000");
+    csizer.run(capped);
+    return fault::hits_observed();
+  };
+  // Hits of a run capped at one outer iteration (its L-BFGS calls plus the
+  // closing value call): every later hit of a full run lands in outer >= 1.
+  const long first_outer_hits = hits_in(1);
+  const long all_hits = hits_in(o.max_outer_iterations);
+  ASSERT_GT(all_hits, first_outer_hits + 3);
+  auto run_faulted_at = [&](long hit) {
+    fault::ScopedFault at("reduced.eval:" + std::to_string(hit));
+    return csizer.run(o);
+  };
+  auto is_value_call = [](const SizingResult& r) {
+    return r.breakdown_site.find("objective (value call") != std::string::npos;
+  };
+  long trial_hit = -1;
+  long gradient_hit = -1;
+  bool prev_value = false;
+  for (long hit = first_outer_hits + 1; hit <= all_hits && trial_hit < 0; ++hit) {
+    const SizingResult r = run_faulted_at(hit);
+    ASSERT_EQ(r.status, "reduced/numerical-breakdown") << "hit " << hit;
+    const bool value = is_value_call(r);
+    if (!value && gradient_hit < 0) gradient_hit = hit;
+    // A value call followed by another one was a trial the line search
+    // rejected (an accepted one is followed by its gradient).
+    if (value && prev_value) trial_hit = hit - 1;
+    prev_value = value;
+  }
+  ASSERT_GT(trial_hit, 0);
+  ASSERT_GT(gradient_hit, 0);
+
+  for (const long hit : {trial_hit, gradient_hit}) {
+    const SizingResult r = run_faulted_at(hit);
+    EXPECT_FALSE(r.converged);
+    EXPECT_EQ(r.status, "reduced/numerical-breakdown");
+    EXPECT_NE(r.breakdown_site.find(hit == trial_hit ? "reduced-space objective (value call"
+                                                     : "reduced-space objective (gradient call"),
+              std::string::npos)
+        << "hit " << hit << ": " << r.breakdown_site;
+    EXPECT_TRUE(r.from_checkpoint);
+    ASSERT_GE(r.checkpoint_outer, 0) << "hit " << hit;
+    // The checkpoint is the iterate after outer iteration checkpoint_outer,
+    // which a clean run capped there ends on.
+    SizerOptions capped = o;
+    capped.max_outer_iterations = r.checkpoint_outer + 1;
+    const SizingResult want = csizer.run(capped);
+    EXPECT_EQ(r.speed, want.speed) << "hit " << hit;
+    expect_speeds_in_bounds(r, cspec.max_speed);
+  }
 }
 
 TEST(SizerResilience, RetryAfterInjectedFirstStartFailureConverges) {

@@ -350,5 +350,48 @@ TEST(SizerYield, MuPlus3SigmaSizingMeetsDeadlineInMonteCarlo) {
   EXPECT_GT(sim0.yield(deadline), 0.35);
 }
 
+// The Table 1 reduced-space rows (bench/table1_benchmarks) on the two large
+// circuits. With a descent direction on the free variables most line
+// searches accept their first trial, so objective evaluations stay within a
+// small multiple of the iterations. The counts repeat exactly, which makes
+// this a timing-free tripwire against the line search degrading into
+// backtracking again (it once took ~10 trials per iteration on k2).
+class SizerTable1Reduced : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SizerTable1Reduced, RowsConvergeWithFewTrialsPerIteration) {
+  const Circuit c = netlist::make_mcnc_like(GetParam());
+  SizingSpec spec;
+  const ssta::DelayCalculator calc(c, spec.sigma_model);
+  std::vector<double> s(static_cast<std::size_t>(c.num_nodes()), spec.max_speed);
+  const double mu_fast = ssta::run_ssta(calc, s).circuit_delay.mu;
+  std::fill(s.begin(), s.end(), 1.0);
+  const double mu_slow = ssta::run_ssta(calc, s).circuit_delay.mu;
+  const double bound = mu_fast + 0.45 * (mu_slow - mu_fast);
+
+  for (const bool constrained : {false, true}) {
+    for (const double k : {0.0, 1.0, 3.0}) {
+      if (constrained) {
+        spec.objective = Objective::min_area();
+        spec.delay_constraint = DelayConstraint::at_most(bound, k);
+      } else {
+        spec.objective = Objective::min_delay(k);
+        spec.delay_constraint.reset();
+      }
+      const std::string row = spec.objective.description() +
+                              (constrained ? " s.t. " + spec.delay_constraint->description() : "");
+      const SizingResult r = Sizer(c, spec).run(opts(Method::kReducedSpace));
+      ASSERT_TRUE(r.converged) << row << ": " << r.status;
+      EXPECT_GT(r.evaluations, 0) << row;
+      EXPECT_LE(r.evaluations, 3 * r.iterations)
+          << row << ": " << r.evaluations << " evaluations in " << r.iterations << " iterations";
+      if (constrained && k == 0.0 && std::string(GetParam()) == "k2") {
+        EXPECT_NEAR(r.sum_speed, 1705.5, 1e-3 * 1705.5) << row;  // EXPERIMENTS.md E1
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LargeCircuits, SizerTable1Reduced, ::testing::Values("apex1", "k2"));
+
 }  // namespace
 }  // namespace statsize::core

@@ -453,8 +453,9 @@ int main(int argc, char** argv) {
                 method.c_str());
 
     const core::SizingResult r = core::Sizer(circuit, spec).run(opt);
-    std::printf("\nstatus: %s (%.2f s, %d iterations)\n", r.status.c_str(), r.wall_seconds,
-                r.iterations);
+    std::printf("\nstatus: %s (%.2f s, %d iterations, %d outer, %d evaluations)\n",
+                r.status.c_str(), r.wall_seconds, r.iterations, r.outer_iterations,
+                r.evaluations);
     if (r.retries_used > 0 || r.from_checkpoint || !r.breakdown_site.empty()) {
       std::printf("resilience: retries=%d%s%s%s\n", r.retries_used,
                   r.from_checkpoint ? ", returned best-iterate checkpoint" : "",
@@ -497,6 +498,8 @@ int main(int argc, char** argv) {
       sr.status = r.status;
       sr.converged = r.converged;
       sr.iterations = r.iterations;
+      sr.outer_iterations = r.outer_iterations;
+      sr.evaluations = r.evaluations;
       sr.wall_seconds = r.wall_seconds;
       sr.retries_used = r.retries_used;
       sr.from_checkpoint = r.from_checkpoint;
