@@ -5,25 +5,23 @@
 //      reports wall time for both methods (the full-space NLP is capped at
 //      300 gates by default; STATSIZE_METHOD=full lifts that to reproduce the
 //      paper's hours-scale behaviour).
-//   2. Thread-scaling sweep: SSTA propagation and Monte Carlo on the largest
-//      DAG across --jobs 1/2/4/hw, with a determinism cross-check (parallel
-//      results must be bit-identical to 1-thread results; see DESIGN.md §7).
-//   3. Serial-island sweep: AugLagModel::hess_vec and the reduced-space
-//      adjoint gradient on a k2-scale DAG across the same thread counts —
-//      the two kernels that used to run single-threaded, now parallel via
-//      ScatterPlan with the same exact-equality determinism contract.
+//   2. Thread-scaling sweep: Monte Carlo on the largest DAG across --jobs
+//      1/2/4/hw, then the k2 reduced-space min sum(S) s.t. mu <= D row at 1
+//      and at hardware threads. SSTA (serial at every --jobs) and the sized
+//      speed vectors must be bit-identical to the 1-thread results (DESIGN.md
+//      §7); the sizing row also checks the rule that the default thread
+//      count is never slower than --jobs 1.
+//   3. hess_vec sweep: AugLagModel::hess_vec on a k2-scale DAG across the
+//      same thread counts — parallel via ScatterPlan with the same
+//      exact-equality determinism contract.
 //   4. TimingView sweep: the historical per-Node pointer walk vs the flat CSR
 //      view path (DESIGN.md §8) for delay evaluation, SSTA, and corner STA at
 //      one thread — a pure memory-layout comparison whose results must be
 //      bit-identical (the view copies the same doubles and keeps every fold
 //      order), so any mismatch hard-fails the benchmark.
-//   5. Granularity advisor: the pre-solve audit's static per-level
-//      serial/parallel decision table and cutoff on the k2-scale DAG, then
-//      SSTA timed with the cutoff off vs applied (bit-identical by contract,
-//      re-verified here).
 //
 // Machine-readable results go to BENCH_scaling.json via bench::JsonArtifact.
-// STATSIZE_SCALING_SECTIONS=sizing,threads,serial_islands,timing_view,granularity
+// STATSIZE_SCALING_SECTIONS=sizing,threads,serial_islands,timing_view
 // (comma-separated) restricts the run to the named sections; unset runs all.
 
 #include <algorithm>
@@ -35,10 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "analyze/graph_audit.h"
 #include "bench_util.h"
 #include "core/full_space.h"
-#include "core/reduced_space.h"
 #include "core/sizer.h"
 #include "netlist/generators.h"
 #include "nlp/auglag.h"
@@ -167,8 +163,7 @@ int main() {
 
   if (section_enabled("threads")) {
   std::printf("\n--- thread scaling (1600-gate DAG, %d hardware threads) ---\n", hw);
-  std::printf("%8s | %12s %8s | %12s %8s | %s\n", "threads", "ssta ms", "speedup", "mc ms",
-              "speedup", "deterministic");
+  std::printf("%8s | %12s %8s | %s\n", "threads", "mc ms", "speedup", "deterministic");
 
   const netlist::Circuit big = scaling_dag(1600);
   const ssta::DelayCalculator calc(big, {});
@@ -181,10 +176,8 @@ int main() {
   runtime::set_threads(1);
   const ssta::TimingReport ssta_ref = ssta::run_ssta(big, delays);
   const ssta::MonteCarloResult mc_ref = ssta::run_monte_carlo(big, delays, mco);
-  double ssta_ms1 = 0.0;
   double mc_ms1 = 0.0;
   double mc_ms4 = 0.0;
-  bool any_slower = false;
   for (const int t : thread_counts) {
     runtime::set_threads(t);
     const bool det = reports_equal(ssta::run_ssta(big, delays), ssta_ref) &&
@@ -193,28 +186,53 @@ int main() {
       std::printf("  [FAIL] results at %d threads differ from the 1-thread reference\n", t);
       ++failures;
     }
-    const double ssta_ms = wall_ms([&] { ssta::run_ssta(big, delays); }, 5);
     const double mc_ms = wall_ms([&] { ssta::run_monte_carlo(big, delays, mco); }, 3);
-    if (t == 1) {
-      ssta_ms1 = ssta_ms;
-      mc_ms1 = mc_ms;
-    }
+    if (t == 1) mc_ms1 = mc_ms;
     if (t == 4) mc_ms4 = mc_ms;
-    if (t > 1 && (ssta_ms > ssta_ms1 * 1.05 || mc_ms > mc_ms1 * 1.05)) any_slower = true;
-    std::printf("%8d | %12.3f %7.2fx | %12.3f %7.2fx | %s\n", t, ssta_ms, ssta_ms1 / ssta_ms,
-                mc_ms, mc_ms1 / mc_ms, det ? "yes" : "NO");
+    std::printf("%8d | %12.3f %7.2fx | %s\n", t, mc_ms, mc_ms1 / mc_ms, det ? "yes" : "NO");
     artifact.add_row()
         .field("section", "threads")
         .field("gates", big.num_gates())
         .field("threads", t)
-        .field("ssta_wall_ms", ssta_ms)
-        .field("ssta_speedup", ssta_ms > 0.0 ? ssta_ms1 / ssta_ms : 0.0)
         .field("mc_wall_ms", mc_ms)
         .field("mc_speedup", mc_ms > 0.0 ? mc_ms1 / mc_ms : 0.0)
         .field("mc_samples", mco.num_samples)
         .field("deterministic", det ? "yes" : "no");
   }
+
+  // The Table 1 k2 constrained row (min sum(S) s.t. mu <= D, reduced space):
+  // the default thread count must never be slower than --jobs 1 (ROADMAP).
+  const netlist::Circuit k2_table1 = netlist::make_mcnc_like("k2");
+  core::SizingSpec k2_spec;
+  k2_spec.objective = core::Objective::min_area();
+  k2_spec.delay_constraint = core::DelayConstraint::at_most(
+      bench::metric_range(k2_table1, k2_spec, 0.0).at(0.45), 0.0);
+  core::SizerOptions k2_opt;
+  k2_opt.method = core::Method::kReducedSpace;
+  std::vector<double> size_speed[2];
+  double size_ms[2] = {0.0, 0.0};
+  const int size_threads[2] = {1, hw};
+  for (int k = 0; k < 2; ++k) {
+    runtime::set_threads(size_threads[k]);
+    size_ms[k] = wall_ms(
+        [&] { size_speed[k] = core::Sizer(k2_table1, k2_spec).run(k2_opt).speed; }, 3);
+  }
   runtime::set_threads(1);
+  const bool size_det = size_speed[0] == size_speed[1];
+  if (!size_det) {
+    std::printf("  [FAIL] k2 sizing at %d threads differs from the 1-thread sizing\n", hw);
+    ++failures;
+  }
+  std::printf("k2 min sum(S) s.t. mu <= D: %.1f ms at 1 thread, %.1f ms at %d (%.2fx) | %s\n",
+              size_ms[0], size_ms[1], hw, size_ms[0] / size_ms[1],
+              size_det ? "deterministic" : "NOT DETERMINISTIC");
+  artifact.add_row()
+      .field("section", "threads_size")
+      .field("gates", k2_table1.num_gates())
+      .field("threads", hw)
+      .field("jobs1_wall_ms", size_ms[0])
+      .field("wall_ms", size_ms[1])
+      .field("deterministic", size_det ? "yes" : "no");
 
   // Speedup is advisory: a warning on capable hardware, never a failure on
   // boxes (CI containers) that expose too few cores to show scaling.
@@ -222,23 +240,22 @@ int main() {
     if (mc_ms4 > 0.0 && mc_ms4 > 0.5 * mc_ms1) {
       std::printf("  [WARN] Monte Carlo speedup below 2x at 4 threads on this machine\n");
     }
-    if (any_slower) {
-      std::printf("  [WARN] a parallel run was slower than its 1-thread fallback\n");
-    }
   } else {
     std::printf("  [note] only %d hardware thread(s): speedup cannot be demonstrated here\n", hw);
   }
+  if (size_ms[1] > 1.05 * size_ms[0]) {
+    std::printf("  [WARN] k2 sizing at %d threads is slower than at 1 thread\n", hw);
+  }
   }  // section "threads"
 
-  // ---- Serial-island scaling: hess_vec and the adjoint gradient sweep on a
-  // k2-scale circuit (the larger Table 1 benchmarks run ~1700 gates). The
-  // circuit itself is shared with the timing_view and granularity sections.
+  // ---- hess_vec scaling on a k2-scale circuit (the larger Table 1
+  // benchmarks run ~1700 gates). The circuit itself is shared with the
+  // timing_view section.
   const netlist::Circuit k2 = scaling_dag(1692);
 
   if (section_enabled("serial_islands")) {
-  std::printf("\n--- hess_vec / adjoint scaling (%d-gate DAG) ---\n", k2.num_gates());
-  std::printf("%8s | %12s %8s | %12s %8s | %s\n", "threads", "hessvec ms", "speedup",
-              "adjoint ms", "speedup", "deterministic");
+  std::printf("\n--- hess_vec scaling (%d-gate DAG) ---\n", k2.num_gates());
+  std::printf("%8s | %12s %8s | %s\n", "threads", "hessvec ms", "speedup", "deterministic");
 
   core::SizingSpec island_spec;
   island_spec.objective = core::Objective::min_delay(0.0);
@@ -258,49 +275,29 @@ int main() {
   model.eval(x, &scratch_grad);  // snapshot the element Hessians at x
   std::vector<double> hv_ref;
   model.hess_vec(v, hv_ref);
-  const core::ReducedEvaluator red(k2, island_spec.sigma_model);
-  std::vector<double> grad_ref;
-  const stat::NormalRV t_ref = red.eval_with_grad(ones, 1.0, 0.5, grad_ref);
 
   double hv_ms1 = 0.0;
-  double adj_ms1 = 0.0;
   double hv_ms4 = 0.0;
-  double adj_ms4 = 0.0;
   for (const int t : thread_counts) {
     runtime::set_threads(t);
     std::vector<double> hv;
     model.hess_vec(v, hv);
-    std::vector<double> grad;
-    const stat::NormalRV tr = red.eval_with_grad(ones, 1.0, 0.5, grad);
-    const bool det =
-        hv == hv_ref && grad == grad_ref && tr.mu == t_ref.mu && tr.var == t_ref.var;
+    const bool det = hv == hv_ref;
     if (!det) {
-      std::printf("  [FAIL] hess_vec/adjoint at %d threads differ from 1-thread reference\n", t);
+      std::printf("  [FAIL] hess_vec at %d threads differs from 1-thread reference\n", t);
       ++failures;
     }
     std::vector<double> hv_scratch;
-    std::vector<double> grad_scratch;
     const double hv_ms = wall_ms([&] { model.hess_vec(v, hv_scratch); }, 5);
-    const double adj_ms =
-        wall_ms([&] { red.eval_with_grad(ones, 1.0, 0.5, grad_scratch); }, 5);
-    if (t == 1) {
-      hv_ms1 = hv_ms;
-      adj_ms1 = adj_ms;
-    }
-    if (t == 4) {
-      hv_ms4 = hv_ms;
-      adj_ms4 = adj_ms;
-    }
-    std::printf("%8d | %12.3f %7.2fx | %12.3f %7.2fx | %s\n", t, hv_ms, hv_ms1 / hv_ms, adj_ms,
-                adj_ms1 / adj_ms, det ? "yes" : "NO");
+    if (t == 1) hv_ms1 = hv_ms;
+    if (t == 4) hv_ms4 = hv_ms;
+    std::printf("%8d | %12.3f %7.2fx | %s\n", t, hv_ms, hv_ms1 / hv_ms, det ? "yes" : "NO");
     artifact.add_row()
         .field("section", "serial_islands")
         .field("gates", k2.num_gates())
         .field("threads", t)
         .field("hess_vec_wall_ms", hv_ms)
         .field("hess_vec_speedup", hv_ms > 0.0 ? hv_ms1 / hv_ms : 0.0)
-        .field("adjoint_wall_ms", adj_ms)
-        .field("adjoint_speedup", adj_ms > 0.0 ? adj_ms1 / adj_ms : 0.0)
         .field("deterministic", det ? "yes" : "no");
   }
   runtime::set_threads(1);
@@ -311,15 +308,12 @@ int main() {
     if (hv_ms4 > 0.0 && hv_ms1 / hv_ms4 < 1.5) {
       std::printf("  [WARN] hess_vec speedup below 1.5x at 4 threads on this machine\n");
     }
-    if (adj_ms4 > 0.0 && adj_ms1 / adj_ms4 < 1.5) {
-      std::printf("  [WARN] adjoint speedup below 1.5x at 4 threads on this machine\n");
-    }
   } else {
     std::printf("  [note] only %d hardware thread(s): speedup cannot be demonstrated here\n", hw);
   }
   }  // section "serial_islands"
 
-  // Shared by the timing_view and granularity sections below.
+  // Shared by the timing_view section below.
   const ssta::SigmaModel sm{};
   const ssta::DelayCalculator k2_calc(k2, sm);
   std::vector<double> sp(static_cast<std::size_t>(k2.num_nodes()));
@@ -435,75 +429,6 @@ int main() {
         .field("identical", s.identical ? "yes" : "no");
   }
   }  // section "timing_view"
-
-  if (section_enabled("granularity")) {
-  // ---- Granularity advisor: the pre-solve audit's static serial-cutoff
-  // decision on the same k2-scale DAG, then SSTA timed with the cutoff off
-  // (every level offered to the pool) versus applied. The cutoff is a pure
-  // wall-clock lever — the determinism contract makes serial and pooled level
-  // execution bit-identical, and that is re-verified here.
-  const int adv_threads = std::max(2, std::min(4, hw));
-  analyze::GranularityCostModel cost;
-  cost.threads = adv_threads;
-  const netlist::TimingViewStats k2_stats = netlist::compute_view_stats(k2.view());
-  const analyze::GranularityAdvice advice =
-      analyze::advise_granularity(k2_stats.level_widths, cost);
-  std::printf("\n--- granularity advisor (%d-gate DAG, cost model at %d threads) ---\n",
-              k2.num_gates(), adv_threads);
-  std::printf("serial cutoff: width < %zu | %d of %zu levels advised serial "
-              "(%.1f%% of gates) | modeled: naive %.0f ns, advised %.0f ns\n",
-              advice.serial_cutoff, advice.serial_levels, advice.levels.size(),
-              100.0 * advice.serial_gate_fraction, advice.est_naive_parallel_ns,
-              advice.est_advised_ns);
-  artifact.add_row()
-      .field("section", "granularity_advisor")
-      .field("gates", k2.num_gates())
-      .field("threads", adv_threads)
-      .field("chunk_dispatch_ns", cost.chunk_dispatch_ns)
-      .field("gate_cost_ns", cost.gate_cost_ns)
-      .field("serial_cutoff", static_cast<int>(advice.serial_cutoff))
-      .field("levels", static_cast<int>(advice.levels.size()))
-      .field("serial_levels", advice.serial_levels)
-      .field("serial_gate_fraction", advice.serial_gate_fraction)
-      .field("est_naive_parallel_ns", advice.est_naive_parallel_ns)
-      .field("est_advised_ns", advice.est_advised_ns);
-  for (const analyze::LevelDecision& d : advice.levels) {
-    artifact.add_row()
-        .field("section", "granularity_levels")
-        .field("level", d.level)
-        .field("width", static_cast<int>(d.width))
-        .field("advised", d.parallel ? "parallel" : "serial")
-        .field("serial_ns", d.serial_ns)
-        .field("parallel_ns", d.parallel_ns);
-  }
-
-  const std::vector<stat::NormalRV> k2_delays = k2_calc.all_delays(sp);
-  runtime::set_threads(adv_threads);
-  const std::size_t saved_cutoff = runtime::level_serial_cutoff();
-  runtime::set_level_serial_cutoff(0);
-  const ssta::TimingReport cutoff_ref = ssta::run_ssta(k2, k2_delays);
-  const double naive_ms = wall_ms([&] { ssta::run_ssta(k2, k2_delays); }, 5);
-  runtime::set_level_serial_cutoff(advice.serial_cutoff);
-  const bool cutoff_det = reports_equal(ssta::run_ssta(k2, k2_delays), cutoff_ref);
-  const double advised_ms = wall_ms([&] { ssta::run_ssta(k2, k2_delays); }, 5);
-  runtime::set_level_serial_cutoff(saved_cutoff);
-  runtime::set_threads(1);
-  if (!cutoff_det) {
-    std::printf("  [FAIL] SSTA with the advised cutoff differs from cutoff-0 results\n");
-    ++failures;
-  }
-  std::printf("ssta at %d threads: cutoff 0 %.3f ms, advised cutoff %.3f ms (%.2fx) | %s\n",
-              adv_threads, naive_ms, advised_ms, naive_ms / advised_ms,
-              cutoff_det ? "deterministic" : "NOT DETERMINISTIC");
-  artifact.add_row()
-      .field("section", "granularity_ssta")
-      .field("gates", k2.num_gates())
-      .field("threads", adv_threads)
-      .field("cutoff0_wall_ms", naive_ms)
-      .field("advised_wall_ms", advised_ms)
-      .field("serial_cutoff", static_cast<int>(advice.serial_cutoff))
-      .field("deterministic", cutoff_det ? "yes" : "no");
-  }  // section "granularity"
 
   artifact.write();
   std::printf("\nE7 SCALING: %s\n", failures == 0 ? "completed (trend recorded above)"

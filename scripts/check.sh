@@ -36,9 +36,9 @@ if [ "$SANITIZE" = "thread" ]; then
   # are exposed even where hardware_concurrency() == 1 would otherwise keep
   # every code path serial. Suites are selected by label (the executable
   # name, see tests/CMakeLists.txt): the runtime itself, SSTA/Monte Carlo,
-  # the nlp + core suites whose hess_vec / adjoint sweeps fan out over
-  # ScatterPlan folds, and the TimingView suite every parallel sweep now
-  # traverses. The resilience suite rides along: cancellation polls and fault
+  # the nlp + core suites whose element evaluation and hess_vec fan out over
+  # the pool (hess_vec through ScatterPlan folds), and the TimingView suite
+  # every sweep traverses. The resilience suite rides along: cancellation polls and fault
   # hit-counting run on pool worker threads, so their synchronization is part
   # of the concurrency surface. The serve suite joins them: its live-loopback
   # tests cross socket threads, the scheduler's executor, and the circuit
@@ -48,8 +48,8 @@ if [ "$SANITIZE" = "thread" ]; then
   echo "== ctest under ThreadSanitizer (runtime + parallel engines + serve) =="
   STATSIZE_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -L '^(runtime_test|ssta_test|nlp_test|core_test|timing_view_test|resilience_test|serve_test|incremental_test|chaos_test)$'
-  # The ECO label again on its own: the incremental engine's level worklist
-  # commits scratch arrivals from pool workers, a prime TSan surface.
+  # The ECO label again on its own: warm re-sizing and the property suite run
+  # the pool-parallel kernels at --jobs 4 between incremental edits.
   echo "== ctest eco label under ThreadSanitizer =="
   STATSIZE_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure -L '^eco$'
   echo "thread-sanitizer checks passed"
@@ -118,9 +118,11 @@ echo "== serve smoke =="
 "$REPO_ROOT/scripts/serve_smoke.sh" "$BUILD_DIR/tools/statsize" "$REPO_ROOT"
 
 # Scaling smoke: the bench's thread-scaling section hard-fails (nonzero exit)
-# on any bit-identity mismatch between 1-thread and multi-thread results, and
-# emits the speedup table into BENCH_scaling.json. The speedup itself is
-# advisory (a WARN inside the bench); only determinism is a gate. Restricted
+# on any bit-identity mismatch between 1-thread and multi-thread results
+# (SSTA, Monte Carlo, and the k2 constrained sizing row), and emits the
+# timing table into BENCH_scaling.json. The timings are advisory (a WARN
+# inside the bench, including a default-slower-than-1-thread sizing row);
+# only determinism is a gate. Restricted
 # to hosts with >=4 cores — on smaller boxes the multi-thread timings are
 # oversubscription noise and the same cross-checks already run in ctest.
 echo "== scaling smoke (thread determinism) =="

@@ -41,22 +41,16 @@ const std::vector<RuleInfo>& rule_catalog() {
       // -- TimingView graph analytics (statsize audit) -----------------------
       {"GRF001", "graph", Severity::kError, "csr-invariant-violation",
        "the compiled TimingView violates a CSR invariant (edge symmetry, topo order, level "
-       "partition) the parallel sweeps rely on"},
+       "partition) the timing sweeps rely on"},
       {"GRF002", "graph", Severity::kError, "zero-width-level",
        "the level partition contains an empty level, which a sound finalize() can never emit "
        "(every level holds at least one gate by construction)"},
-      {"GRF003", "graph", Severity::kNote, "narrow-parallelism",
-       "a dominant share of gates sits in levels below the advisor's serial cutoff, so "
-       "level-parallel sweeps cannot pay for their dispatch on this circuit"},
       {"GRF004", "graph", Severity::kWarning, "fanout-skew",
-       "one net's fanout dwarfs the average, unbalancing level chunks and serializing the "
-       "scatter folds that touch it"},
+       "one net's fanout dwarfs the average, so its load sum and adjoint scatter dominate "
+       "every sweep that touches it"},
       {"GRF005", "graph", Severity::kNote, "high-reconvergence",
        "the reconvergence ratio is high; independence SSTA underestimates correlation here "
        "(consider the canonical correlation-aware engine)"},
-      {"GRF006", "graph", Severity::kNote, "deep-narrow-graph",
-       "logic depth dwarfs the mean level width: the sweep's critical path is serial and "
-       "Amdahl caps any level-parallel speedup"},
       // -- cell library / sigma model / size tables -------------------------
       {"LIB001", "library", Severity::kError, "non-positive-intrinsic-delay",
        "a cell's intrinsic delay t_int is zero or negative"},

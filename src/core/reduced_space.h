@@ -13,11 +13,10 @@
 // gradient at the accepted one (eval_with_grad at the same speed, which
 // re-propagates no gate and runs the adjoint alone).
 //
-// Both sweeps run level-parallel on the global runtime pool (DESIGN.md §7).
-// The forward sweep's writes are per-gate disjoint; the adjoint sweep's
-// overlapping amu/avar/grad scatters go through per-level ScatterPlans
-// (parallel evaluate into disjoint slots, conflict-free target-major fold),
-// so results are equal at any thread count, including the serial fallback.
+// Both sweeps are plain serial loops (DESIGN.md §7): at paper scale one
+// sweep costs well under a millisecond, less than splitting it across the
+// pool would. The adjoint walks the levels highest-first in a fixed order,
+// so its scatters accumulate identically on every call at any --jobs.
 //
 // ECO path (DESIGN.md §12): the evaluator keeps its forward tape (arrivals,
 // delays, recorded Clark steps) across eval_forward and gradient calls. When
@@ -84,9 +83,8 @@ class ReducedEvaluator {
   /// problem (no primary outputs — Tmax undefined; a zero-fanin gate — no
   /// arrival to fold) instead of underflowing the step-slice arithmetic.
   ///
-  /// Not safe for concurrent calls on one instance: the adjoint's scatter
-  /// plans and the forward tape are cached across calls (the sweeps
-  /// themselves fan out across the global pool internally).
+  /// Not safe for concurrent calls on one instance: the forward tape is
+  /// cached across calls.
   stat::NormalRV eval_with_grad(const std::vector<double>& speed, double seed_mu,
                                 double seed_var, std::vector<double>& grad) const;
 
@@ -119,7 +117,6 @@ class ReducedEvaluator {
   std::size_t last_forward_recomputes() const;
 
  private:
-  struct AdjointPlans;
   struct ForwardCache;
 
   const netlist::TimingView& resolve_view() const;
@@ -139,8 +136,7 @@ class ReducedEvaluator {
   const netlist::Circuit* circuit_ = nullptr;  ///< null when view-constructed
   const netlist::TimingView* view_ = nullptr;  ///< null when circuit-constructed
   ssta::SigmaModel sigma_model_;
-  mutable std::unique_ptr<AdjointPlans> plans_;  ///< lazy; structure-only cache
-  mutable std::unique_ptr<ForwardCache> fwd_;    ///< lazy; forward tape
+  mutable std::unique_ptr<ForwardCache> fwd_;  ///< lazy; forward tape
 };
 
 }  // namespace statsize::core

@@ -7,6 +7,7 @@
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "core/full_space.h"
 #include "core/reduced_space.h"
@@ -183,6 +184,11 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
         "Sizer: full-space sizing needs the owning Circuit (the NLP constraint "
         "structure is built from it); construct the Sizer from a Circuit or use "
         "Method::kReducedSpace on this view");
+  }
+  if (options.max_retries < 0) {
+    // Zero attempts would leave no sizing for finish() to time.
+    throw std::invalid_argument("Sizer: max_retries must be >= 0, got " +
+                                std::to_string(options.max_retries));
   }
   const auto t0 = std::chrono::steady_clock::now();
 

@@ -56,7 +56,7 @@ struct SizerOptions {
   /// Deterministic multistart retries after a numerical breakdown or stall:
   /// each retry restarts from seeded perturbed initial sizes with the initial
   /// penalty backed off (bounded), and the lexicographically best attempt
-  /// wins. 0 disables.
+  /// wins. 0 disables; negative values are rejected (std::invalid_argument).
   int max_retries = 0;
   /// Seed for the retry perturbations (mt19937; bit-reproducible anywhere).
   unsigned retry_seed = 12345u;

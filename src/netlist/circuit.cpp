@@ -113,7 +113,7 @@ void Circuit::finalize() {
   }
   topo_ = std::move(topo);
 
-  // Level partition (cached for the parallel runtime's LevelSchedule and for
+  // Level partition (cached for the adjoint sweeps, the ECO worklists and
   // depth()): level(gate) = 1 + max level over fanins, inputs at level 0.
   node_level_.assign(nodes_.size(), 0);
   int max_level = 0;

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -128,8 +129,8 @@ class Circuit {
   /// Topological level partition of the gates, cached by finalize():
   /// gate_levels()[k] holds every gate whose longest path from a primary
   /// input is k+1 edges, in ascending topological-order position. Gates in
-  /// one level have no dependencies on each other — the parallel runtime's
-  /// LevelSchedule executes them concurrently (see src/runtime/).
+  /// one level have no dependencies on each other, so a level-bucketed
+  /// worklist (ECO re-timing) can commit a level's arrivals in place.
   const std::vector<std::vector<NodeId>>& gate_levels() const;
 
   /// Topological level of node `id` (0 for primary inputs).

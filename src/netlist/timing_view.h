@@ -14,7 +14,8 @@
 //     C_load + sum C_in,i S_i) is a contiguous dot product with no Node or
 //     CellLibrary chasing,
 //   * the topological order, the gates-only topological order, the primary
-//     outputs, and the CSR level partition the parallel LevelSchedule runs.
+//     outputs, and the CSR level partition the reverse (adjoint) sweeps and
+//     the level-bucketed ECO worklists walk.
 //
 // Invariants vs. Circuit: edge and level orders are exactly the Node lists'
 // orders (fanins pin order, fanouts ascending driver-derived order, levels in
@@ -217,9 +218,8 @@ class TimingView {
 };
 
 /// Structural analytics over a compiled TimingView — the raw numbers the
-/// pre-solve audit (`statsize audit`, rules GRF0xx) and the parallel
-/// granularity advisor judge. Everything here is a pure function of the CSR
-/// arrays: no timing model is evaluated.
+/// pre-solve audit (`statsize audit`, rules GRF0xx) judges. Everything here
+/// is a pure function of the CSR arrays: no timing model is evaluated.
 struct TimingViewStats {
   int num_nodes = 0;
   int num_gates = 0;

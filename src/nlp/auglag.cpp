@@ -260,13 +260,10 @@ void AugLagModel::hess_vec(const std::vector<double>& v, std::vector<double>& hv
   const std::size_t ns = snapshots_.size();
   const std::size_t m = c_.size();
 
-  // Granularity gate: the static floor (two-phase scatter bookkeeping) and
-  // the runtime's cost-model cutoff (dispatch vs item work, auto-resolved
-  // per thread count) must both clear before the pool can pay. Both paths
-  // are bit-identical, so the gate only moves wall-clock time.
-  const std::size_t parallel_floor =
-      std::max(kParallelHessVecItems, runtime::level_serial_cutoff());
-  if (runtime::threads() > 1 && ns + m >= parallel_floor) {
+  // Granularity gate: below the static floor the two-phase scatter's
+  // bookkeeping costs more than it saves. Both paths are bit-identical, so
+  // the gate only moves wall-clock time.
+  if (runtime::threads() > 1 && ns + m >= kParallelHessVecItems) {
     // Phase 1 — parallel over items: each snapshot / constraint computes its
     // per-target contributions into its own plan-slot slice (disjoint
     // writes). The per-item arithmetic is identical to the serial loops

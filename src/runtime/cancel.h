@@ -3,9 +3,8 @@
 // A solve that must terminate within a time budget (CLI --time-limit) or on
 // external request installs a CancelScope; every long-running loop in the
 // system — ThreadPool::parallel_for chunk claims, runtime::parallel_for
-// entry (and therefore every LevelSchedule level), the TRON trust-region and
-// CG inner loops, projected L-BFGS iterations, and the augmented-Lagrangian
-// outer loop — polls the active scope at its natural boundary and throws
+// entry, the TRON trust-region and CG inner loops, projected L-BFGS
+// iterations, and the augmented-Lagrangian outer loop — polls the active scope at its natural boundary and throws
 // OperationCancelled when the token is cancelled or the deadline has passed.
 //
 // Contract (DESIGN.md §9):

@@ -50,14 +50,7 @@ void ScatterPlan::freeze(std::size_t num_targets) {
 
 void ScatterPlan::fold_add(const double* vals, double* out, std::size_t grain) const {
   if (!frozen_) throw std::logic_error("ScatterPlan::fold_add before freeze()");
-  // Granularity gate: a fold narrower than the serial cutoff cannot pay for
-  // pool dispatch, so widen the grain to the whole range — parallel_for then
-  // takes its inline path. Bit-identical either way (the per-target fold
-  // order is fixed); this only moves wall-clock time, exactly like
-  // LevelSchedule::effective_grain.
-  std::size_t effective = grain;
-  if (targets_.size() < level_serial_cutoff()) effective = targets_.size();
-  parallel_for(targets_.size(), effective, [&](std::size_t rb, std::size_t re) {
+  parallel_for(targets_.size(), grain, [&](std::size_t rb, std::size_t re) {
     for (std::size_t r = rb; r < re; ++r) {
       double acc = out[static_cast<std::size_t>(targets_[r])];
       for (std::size_t k = row_begin_[r]; k < row_begin_[r + 1]; ++k) {

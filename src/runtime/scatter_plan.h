@@ -4,9 +4,9 @@
 // §7): work items write to disjoint slots, and whatever overlaps is folded in
 // a fixed order. That discipline covers sums and maxima, but not the sparse
 // scatter `out[targets[k]] += value[k]` that dominates Hessian-vector
-// products and adjoint sweeps: there, many items hit the *same* target, so a
-// naive parallel loop races and an atomic loop loses determinism (the fold
-// order would depend on thread timing).
+// products: there, many items hit the *same* target, so a naive parallel
+// loop races and an atomic loop loses determinism (the fold order would
+// depend on thread timing).
 //
 // ScatterPlan removes the conflict structurally by transposing the scatter
 // into a gather. The plan is built once per *structure* (the target lists of
@@ -28,9 +28,7 @@
 //           as `for item: for k: out[t] += v`, hence equal results at any
 //           thread count (including the inline 1-thread path).
 //
-// Used by nlp::AugLagModel::hess_vec (element + Gauss-Newton scatters) and by
-// core::ReducedEvaluator's level-by-level adjoint sweep (per-level fanin
-// amu/avar pushes and fanout load-gradient pushes).
+// Used by nlp::AugLagModel::hess_vec (element + Gauss-Newton scatters).
 
 #pragma once
 
@@ -56,8 +54,7 @@ class ScatterPlan {
 
   /// out[t] += sum of vals[s] over target t's slots in ascending slot order,
   /// fanned out across the global pool with `grain` targets per chunk (inline
-  /// when the fold is narrower than runtime::level_serial_cutoff() — a
-  /// sub-cutoff fold never pays dispatch). `vals` must hold num_slots()
+  /// when the fold fits one grain). `vals` must hold num_slots()
   /// entries and `out` at least num_targets() entries. Deterministic at any
   /// thread count; equal to the serial item-order scatter wherever that
   /// scatter adds the same values.

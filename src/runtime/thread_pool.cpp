@@ -45,42 +45,16 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::wake_sleepers() {
-  // Dekker handshake, publisher side: the work signal (epoch_, task_pending_
-  // or stop_) was stored seq_cst before this seq_cst load. A worker raises
-  // sleepers_ (seq_cst) before re-checking those signals under sleep_mutex_,
-  // so either it sees the new signal and never sleeps, or this load sees its
-  // raised count and the notify below — serialized against the worker's
-  // predicate check by sleep_mutex_ — lands. No lost wakeup either way.
+  // Dekker handshake, publisher side: the work signal (epoch_ or stop_) was
+  // stored seq_cst before this seq_cst load. A worker raises sleepers_
+  // (seq_cst) before re-checking those signals under sleep_mutex_, so either
+  // it sees the new signal and never sleeps, or this load sees its raised
+  // count and the notify below — serialized against the worker's predicate
+  // check by sleep_mutex_ — lands. No lost wakeup either way.
   if (sleepers_.load(std::memory_order_seq_cst) > 0) {
     const std::lock_guard<std::mutex> lock(sleep_mutex_);
     sleep_cv_.notify_all();
   }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  if (workers_.empty()) {  // single-threaded pool: run inline
-    task();
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(task_mutex_);
-    tasks_.push_back(std::move(task));
-  }
-  task_pending_.fetch_add(1, std::memory_order_seq_cst);
-  wake_sleepers();
-}
-
-bool ThreadPool::run_one_task() {
-  std::function<void()> task;
-  {
-    const std::lock_guard<std::mutex> lock(task_mutex_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop_front();
-    task_pending_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  task();
-  return true;
 }
 
 void ThreadPool::drain_region() {
@@ -135,14 +109,12 @@ void ThreadPool::worker_main() {
       }
       continue;
     }
-    if (task_pending_.load(std::memory_order_acquire) > 0 && run_one_task()) continue;
     if (stop_.load(std::memory_order_acquire)) return;
 
     // Idle: spin briefly (catches back-to-back regions), then block.
     bool signaled = false;
     for (int spin = 0; spin < kSpinIterations; ++spin) {
       if (epoch_.load(std::memory_order_relaxed) != seen ||
-          task_pending_.load(std::memory_order_relaxed) > 0 ||
           stop_.load(std::memory_order_relaxed)) {
         signaled = true;
         break;
@@ -156,7 +128,6 @@ void ThreadPool::worker_main() {
       std::unique_lock<std::mutex> lock(sleep_mutex_);
       sleep_cv_.wait(lock, [&] {
         return epoch_.load(std::memory_order_seq_cst) != seen ||
-               task_pending_.load(std::memory_order_acquire) > 0 ||
                stop_.load(std::memory_order_acquire);
       });
     }

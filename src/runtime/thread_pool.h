@@ -4,15 +4,14 @@
 //   * Determinism. parallel_for hands each index range to exactly one
 //     participant and all outputs go to disjoint slots chosen by index, so a
 //     result never depends on which worker ran which chunk. Reductions are
-//     NOT performed here — callers combine per-block partials in block order
-//     (runtime.h provides the helpers), which is what makes parallel results
-//     bit-identical at any thread count.
+//     NOT performed here — callers combine overlapping contributions in a
+//     fixed order (e.g. runtime::ScatterPlan), which is what makes parallel
+//     results bit-identical at any thread count.
 //   * Cheap dispatch. Workers are persistent and park on an epoch counter
 //     (a sense-reversing barrier generalized to a 64-bit epoch). Publishing
 //     a parallel region is: write the region descriptor, bump the epoch,
-//     wake any sleepers. No heap allocation, no std::function, no per-helper
-//     queue traffic — workers claim chunks straight off the region's atomic
-//     cursor.
+//     wake any sleepers. No heap allocation, no std::function, no queue
+//     traffic — workers claim chunks straight off the region's atomic cursor.
 //   * Nested safety. A parallel_for issued from inside a region (from a
 //     worker, or from the calling thread while it executes its own chunks)
 //     runs inline — value-identical because chunk outputs are index-keyed —
@@ -42,9 +41,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -84,11 +81,6 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Fire-and-forget task on the shared queue. Every submit wakes all
-  /// sleepers (a burst of N tasks reliably engages N workers; spinning
-  /// workers pick tasks up without any wake at all). Tasks must not throw.
-  void submit(std::function<void()> task);
-
   /// Runs body(b, e) over subranges that exactly tile [0, n), blocking until
   /// all of it is done. Chunks are `grain` indices (last one ragged). Chunk
   /// claiming is dynamic but the work done per index is fixed, so any writes
@@ -109,7 +101,6 @@ class ThreadPool {
 
   void worker_main();
   void drain_region();
-  bool run_one_task();
   void wake_sleepers();
 
   std::vector<std::thread> workers_;
@@ -128,14 +119,8 @@ class ThreadPool {
   std::mutex owner_mutex_;
   std::condition_variable owner_cv_;
 
-  // Fire-and-forget task queue (shared; submit bursts are rare and cold
-  // compared to parallel_for regions, so one mutex is fine).
-  std::mutex task_mutex_;
-  std::deque<std::function<void()>> tasks_;
-  alignas(64) std::atomic<std::size_t> task_pending_{0};
-
   // Sleep machinery: workers raise sleepers_ before blocking; publishers
-  // (epoch bump, submit, stop) read it to decide whether a wake is needed.
+  // (epoch bump, stop) read it to decide whether a wake is needed.
   alignas(64) std::atomic<std::size_t> sleepers_{0};
   std::mutex sleep_mutex_;
   std::condition_variable sleep_cv_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -72,15 +73,32 @@ void write_job_params(util::JsonWriter& w, const JobParams& p) {
   w.end_object();
 }
 
+std::string job_params_range_error(double deadline_ms, std::int64_t jobs,
+                                   std::int64_t samples, std::int64_t max_retries) {
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  if (!(deadline_ms >= 0.0)) return "deadline_ms (expected >= 0)";
+  if (samples < 1 || samples > kIntMax) {
+    return "samples (expected 1.." + std::to_string(kIntMax) + ")";
+  }
+  // 0 = the daemon's own thread count (its --jobs); a job never gets more
+  // threads than the hardware offers.
+  const int hw = runtime::hardware_threads();
+  if (jobs < 0 || jobs > hw) return "jobs (expected 0.." + std::to_string(hw) + ")";
+  if (max_retries < 0 || max_retries > kIntMax) {
+    return "max_retries (expected 0.." + std::to_string(kIntMax) + ")";
+  }
+  return "";
+}
+
 JobParams job_params_from_json(const util::JsonValue& doc) {
   JobParams p;
   p.deadline_ms = doc.number_or("deadline_ms", p.deadline_ms);
-  p.jobs = static_cast<int>(doc.int_or("jobs", p.jobs));
+  const std::int64_t jobs = doc.int_or("jobs", p.jobs);
   p.sigma_kappa = doc.number_or("sigma_kappa", p.sigma_kappa);
   p.sigma_offset = doc.number_or("sigma_offset", p.sigma_offset);
   p.speed = doc.number_or("speed", p.speed);
   p.corner = doc.string_or("corner", p.corner);
-  p.mc_samples = static_cast<int>(doc.int_or("mc_samples", p.mc_samples));
+  const std::int64_t samples = doc.int_or("mc_samples", p.mc_samples);
   p.mc_seed = static_cast<std::uint64_t>(
       doc.int_or("mc_seed", static_cast<std::int64_t>(p.mc_seed)));
   p.objective = doc.string_or("objective", p.objective);
@@ -90,7 +108,15 @@ JobParams job_params_from_json(const util::JsonValue& doc) {
       doc.number_or("constraint_sigma_weight", p.constraint_sigma_weight);
   p.method = doc.string_or("method", p.method);
   p.max_speed = doc.number_or("max_speed", p.max_speed);
-  p.max_retries = static_cast<int>(doc.int_or("max_retries", p.max_retries));
+  const std::int64_t max_retries = doc.int_or("max_retries", p.max_retries);
+  const std::string range_error =
+      job_params_range_error(p.deadline_ms, jobs, samples, max_retries);
+  if (!range_error.empty()) {
+    throw std::invalid_argument("job param out of range: " + range_error);
+  }
+  p.jobs = static_cast<int>(jobs);
+  p.mc_samples = static_cast<int>(samples);
+  p.max_retries = static_cast<int>(max_retries);
   return p;
 }
 
@@ -508,10 +534,11 @@ void JobScheduler::run_job(Job& job) {
     return;
   }
 
+  // A job's "jobs" applies to that job only: the daemon's own thread count
+  // (its --jobs) is restored before the result is published, so a later
+  // "jobs": 0 job never inherits a predecessor's pool.
+  const int daemon_threads = runtime::threads();
   if (job.params.jobs > 0) runtime::set_threads(job.params.jobs);
-  if (options_.apply_serial_cutoff) {
-    runtime::set_level_serial_cutoff(job.circuit->serial_cutoff);
-  }
 
   // Derived (PATCH-created) entries carry an edited TimingView; jobs compute
   // against it through the same view-overload engines the CLI path compiles,
@@ -684,6 +711,7 @@ void JobScheduler::run_job(Job& job) {
     final_state = JobState::kFailed;
     error = e.what();
   }
+  runtime::set_threads(daemon_threads);
 
   const double t_end = now_ms();
   // Terminal record BEFORE the state flip: once a poller can observe "done",

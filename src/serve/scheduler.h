@@ -11,11 +11,11 @@
 // compute level. DESIGN.md §11 expands on this trade.
 //
 // Lifecycle: submit() either enqueues (bounded; nullptr on overflow → the
-// server answers 429) or rejects; the executor pops in FIFO order, installs
-// the circuit's advised serial cutoff, runs the job under its cancel
-// token/deadline, and publishes a result JSON blob. cancel() flips a queued
-// job straight to kCancelled or trips a running job's CancellationToken so
-// the cooperative polls unwind it.
+// server answers 429) or rejects; the executor pops in FIFO order, applies
+// the job's thread count (restoring the daemon's afterwards), runs the job
+// under its cancel token/deadline, and publishes a result JSON blob.
+// cancel() flips a queued job straight to kCancelled or trips a running
+// job's CancellationToken so the cooperative polls unwind it.
 
 #pragma once
 
@@ -61,7 +61,8 @@ struct JobParams {
   double deadline_ms = 0.0;  ///< 0 = unlimited. Analysis: hard cancel; size:
                              ///< SizerOptions::time_limit_seconds (honest
                              ///< kTimeLimit checkpoint comes back as kDone).
-  int jobs = 0;              ///< runtime::set_threads for this job; 0 = leave
+  int jobs = 0;              ///< threads for this job, 1..hardware_threads();
+                             ///< 0 = the daemon's own --jobs
 
   // Delay model.
   double sigma_kappa = 0.25;
@@ -91,7 +92,17 @@ struct JobParams {
 /// is exact only up to 2^53 (the server's request parser has the same limit,
 /// so a journaled seed always round-trips to what the client could submit).
 void write_job_params(util::JsonWriter& w, const JobParams& params);
+/// Throws std::invalid_argument naming the field when a journaled param is
+/// outside the admission ranges (a journal written by an older daemon may
+/// hold values today's admission rejects).
 JobParams job_params_from_json(const util::JsonValue& doc);
+
+/// The admission ranges of a job's deadline and integer params, checked
+/// before narrowing to int so a value such as 2^32 + 1 cannot wrap into
+/// range. Returns "" when they hold, else "<field> (expected <range>)" with
+/// the POST /v1/jobs field name. Admission and journal recovery share it.
+std::string job_params_range_error(double deadline_ms, std::int64_t jobs,
+                                   std::int64_t samples, std::int64_t max_retries);
 
 struct Job {
   std::string id;  ///< "job-NNNNNN"
@@ -118,9 +129,6 @@ struct Job {
 
 struct SchedulerOptions {
   std::size_t queue_depth = 64;  ///< queued (not running) jobs before 429
-  /// Install each circuit's upload-time granularity advice
-  /// (runtime::set_level_serial_cutoff) before running its jobs.
-  bool apply_serial_cutoff = true;
 };
 
 class JobScheduler {

@@ -11,8 +11,8 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
-#include "analyze/graph_audit.h"
 #include "netlist/blif.h"
 #include "runtime/fault.h"
 #include "netlist/timing_view.h"
@@ -360,14 +360,11 @@ HttpResponse Server::handle_upload(const HttpRequest& request) {
       std::istringstream in(text->as_string());
       netlist::Circuit circuit =
           format == "blif" ? netlist::read_blif(in) : netlist::read_verilog(in);
-      const netlist::TimingViewStats stats =
-          netlist::compute_view_stats(circuit.view());
-      fresh->serial_cutoff = analyze::advise_granularity(stats.level_widths).serial_cutoff;
       fresh->num_gates = circuit.num_gates();
       fresh->num_inputs = circuit.num_inputs();
       fresh->num_outputs = static_cast<int>(circuit.outputs().size());
       fresh->depth = circuit.depth();
-      fresh->num_levels = stats.level_widths.size();
+      fresh->num_levels = static_cast<std::size_t>(circuit.view().num_levels());
       fresh->circuit = std::make_shared<netlist::Circuit>(std::move(circuit));
     } catch (const std::exception& e) {
       return HttpResponse::json(
@@ -402,7 +399,6 @@ HttpResponse Server::handle_upload(const HttpRequest& request) {
   w.key("outputs").value(entry->num_outputs);
   w.key("depth").value(entry->depth);
   w.key("levels").value(static_cast<long>(entry->num_levels));
-  w.key("serial_cutoff").value(static_cast<long>(entry->serial_cutoff));
   w.key("evicted").value(static_cast<long>(evicted));
   w.end_object();
   return HttpResponse::json(cached ? 200 : 201, os.str());
@@ -534,7 +530,6 @@ HttpResponse Server::handle_patch(const HttpRequest& request, const std::string&
     fresh->num_outputs = base->num_outputs;
     fresh->depth = base->depth;
     fresh->num_levels = base->num_levels;
-    fresh->serial_cutoff = base->serial_cutoff;
     fresh->base = base;
     fresh->patched_view = std::move(view);
     fresh->num_edits = base->num_edits + edits.size();
@@ -560,7 +555,6 @@ HttpResponse Server::handle_patch(const HttpRequest& request, const std::string&
   w.key("edits_applied").value(static_cast<long>(edits.size()));
   w.key("num_edits").value(static_cast<long>(entry->num_edits));
   w.key("gates").value(entry->num_gates);
-  w.key("serial_cutoff").value(static_cast<long>(entry->serial_cutoff));
   w.end_object();
   return HttpResponse::json(cached ? 200 : 201, os.str());
 }
@@ -578,7 +572,6 @@ HttpResponse Server::handle_list_circuits() {
     w.key("format").value(entry->format);
     w.key("gates").value(entry->num_gates);
     w.key("depth").value(entry->depth);
-    w.key("serial_cutoff").value(static_cast<long>(entry->serial_cutoff));
     w.end_object();
   }
   w.end_array();
@@ -620,14 +613,19 @@ bool Server::parse_job_request(const util::JsonValue& body, JobScheduler::JobReq
 
   JobParams& params = out->params;
   params = JobParams{};
+  // Integer fields are range-checked as int64 before narrowing to int, so a
+  // value such as 2^32 + 1 cannot wrap into range.
+  std::int64_t jobs = params.jobs;
+  std::int64_t samples = params.mc_samples;
+  std::int64_t max_retries = params.max_retries;
   try {
     params.deadline_ms = body.number_or("deadline_ms", params.deadline_ms);
-    params.jobs = body.int_or("jobs", params.jobs);
+    jobs = body.int_or("jobs", jobs);
     params.sigma_kappa = body.number_or("sigma_kappa", params.sigma_kappa);
     params.sigma_offset = body.number_or("sigma_offset", params.sigma_offset);
     params.speed = body.number_or("speed", params.speed);
     params.corner = body.string_or("corner", params.corner);
-    params.mc_samples = body.int_or("samples", params.mc_samples);
+    samples = body.int_or("samples", samples);
     params.mc_seed = static_cast<std::uint64_t>(
         body.int_or("seed", static_cast<int>(params.mc_seed)));
     params.objective = body.string_or("objective", params.objective);
@@ -637,16 +635,20 @@ bool Server::parse_job_request(const util::JsonValue& body, JobScheduler::JobReq
         body.number_or("constraint_sigma_weight", params.constraint_sigma_weight);
     params.method = body.string_or("method", params.method);
     params.max_speed = body.number_or("max_speed", params.max_speed);
-    params.max_retries = body.int_or("max_retries", params.max_retries);
+    max_retries = body.int_or("max_retries", max_retries);
   } catch (const std::exception& e) {
     *error = HttpResponse::json(400, error_body(std::string("bad job params: ") + e.what()));
     return false;
   }
-  if (params.deadline_ms < 0.0 || params.mc_samples < 1 ||
-      params.jobs < 0 || params.jobs > 1024) {
-    *error = HttpResponse::json(400, error_body("job params out of range"));
+  const std::string range_error =
+      job_params_range_error(params.deadline_ms, jobs, samples, max_retries);
+  if (!range_error.empty()) {
+    *error = HttpResponse::json(400, error_body("job param out of range: " + range_error));
     return false;
   }
+  params.jobs = static_cast<int>(jobs);
+  params.mc_samples = static_cast<int>(samples);
+  params.max_retries = static_cast<int>(max_retries);
   return true;
 }
 
@@ -799,6 +801,7 @@ void Server::recover_from_journal() {
   struct Recovered {
     JobScheduler::RestoredJob job;
     std::string circuit_key;
+    std::string params_error;  ///< admit record's params failed the range check
     bool started = false;
     bool ended = false;
   };
@@ -825,7 +828,11 @@ void Server::recover_from_journal() {
         if (r.job.id.empty()) continue;
         r.job.type = job_type_from_name(rec.doc.string_or("type", "ssta"));
         if (const util::JsonValue* params = rec.doc.find("params")) {
-          r.job.params = job_params_from_json(*params);
+          try {
+            r.job.params = job_params_from_json(*params);
+          } catch (const std::exception& e) {
+            r.params_error = e.what();
+          }
         }
         r.job.idempotency_key = rec.doc.string_or("idempotency_key", "");
         r.circuit_key = rec.doc.string_or("circuit", "");
@@ -871,6 +878,13 @@ void Server::recover_from_journal() {
       r.job.error =
           "interrupted: daemon crashed while this job was running (re-submit to retry)";
       metrics_.jobs_interrupted.inc();
+    } else if (!r.params_error.empty()) {
+      // Queued at crash with params today's admission would reject (the
+      // journal may predate a tightened range): a named failure, never a
+      // silent run with out-of-range params.
+      r.job.state = JobState::kFailed;
+      r.job.error = "recovery failed: " + r.params_error + "; re-submit with valid params";
+      metrics_.jobs_recovered.inc();
     } else if (r.job.circuit == nullptr) {
       // Queued at crash but its circuit did not survive replay (torn tail or
       // eviction): a named failure, never a crash or a silent drop.

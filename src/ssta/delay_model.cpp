@@ -1,6 +1,7 @@
 #include "ssta/delay_model.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "netlist/timing_view.h"
 
@@ -32,6 +33,11 @@ stat::NormalRV DelayCalculator::delay(NodeId id, const std::vector<double>& spee
 
 std::vector<stat::NormalRV> DelayCalculator::all_delays(const std::vector<double>& speed) const {
   const netlist::TimingView& view = *view_;
+  if (static_cast<int>(speed.size()) != view.num_nodes()) {
+    throw std::invalid_argument("speed must be indexed by NodeId (" +
+                                std::to_string(speed.size()) + " entries for " +
+                                std::to_string(view.num_nodes()) + " nodes)");
+  }
   std::vector<stat::NormalRV> delays(static_cast<std::size_t>(view.num_nodes()));
   // Batched load caps: one SIMD-friendly pass over the fanout edge array
   // replaces a short gather loop per gate. Same arithmetic per node as

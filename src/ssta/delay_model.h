@@ -60,6 +60,7 @@ class DelayCalculator {
   stat::NormalRV delay(netlist::NodeId id, const std::vector<double>& speed) const;
 
   /// Delays for every node (primary inputs get {0,0}), indexed by NodeId.
+  /// Throws std::invalid_argument unless speed.size() == num_nodes().
   std::vector<stat::NormalRV> all_delays(const std::vector<double>& speed) const;
 
   /// Sum of speed factors — the paper's area measure (Table 1's sum S_i).

@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "netlist/timing_view.h"
-#include "runtime/level_schedule.h"
-#include "runtime/runtime.h"
 #include "stat/clark.h"
 
 namespace statsize::ssta {
@@ -13,14 +11,6 @@ namespace statsize::ssta {
 using netlist::NodeId;
 using netlist::NodeKind;
 using stat::NormalRV;
-
-namespace {
-
-bool use_parallel(const netlist::TimingView& view) {
-  return runtime::threads() > 1 && view.num_gates() >= kParallelGateCutoff;
-}
-
-}  // namespace
 
 TimingReport run_ssta(const netlist::TimingView& view, const std::vector<NormalRV>& gate_delays,
                       const std::vector<NormalRV>& input_arrivals) {
@@ -36,8 +26,7 @@ TimingReport run_ssta(const netlist::TimingView& view, const std::vector<NormalR
   report.arrival.resize(static_cast<std::size_t>(view.num_nodes()));
 
   // Primary inputs take their schedule time; ordinal = position among the
-  // inputs in topological order (stable whether or not gates run in
-  // parallel below).
+  // inputs in topological order.
   int pi_index = 0;
   for (NodeId id : view.topo_order()) {
     if (view.kind(id) == NodeKind::kPrimaryInput) {
@@ -47,10 +36,10 @@ TimingReport run_ssta(const netlist::TimingView& view, const std::vector<NormalR
   }
 
   // U = statistical max over fanin arrivals (left fold of the pairwise
-  // Clark max, exactly as eq. 18b), then T = U + t (eq. 4). Each gate reads
-  // only strictly-lower-level arrivals and writes its own slot, so gates of
-  // one level run concurrently with bit-identical results.
-  auto eval_gate = [&](NodeId id) {
+  // Clark max, exactly as eq. 18b), then T = U + t (eq. 4). At paper scale
+  // one sweep is a fraction of a millisecond, so it runs serially: a pooled
+  // level-by-level split costs more in dispatch than it saves (DESIGN.md §7).
+  for (NodeId id : view.gates_in_topo_order()) {
     const netlist::NodeSpan fanins = view.fanins(id);
     NormalRV u = report.arrival[static_cast<std::size_t>(fanins[0])];
     for (std::size_t i = 1; i < fanins.size(); ++i) {
@@ -58,11 +47,6 @@ TimingReport run_ssta(const netlist::TimingView& view, const std::vector<NormalR
     }
     report.arrival[static_cast<std::size_t>(id)] =
         stat::add(u, gate_delays[static_cast<std::size_t>(id)]);
-  };
-  if (use_parallel(view)) {
-    runtime::LevelSchedule(view).for_each_gate(kGateGrain, eval_gate);
-  } else {
-    for (NodeId id : view.gates_in_topo_order()) eval_gate(id);
   }
 
   const std::vector<NodeId>& outs = view.outputs();
@@ -105,7 +89,7 @@ StaReport run_sta(const netlist::TimingView& view, const std::vector<NormalRV>& 
   const double k = corner == Corner::kBest ? -3.0 : corner == Corner::kWorst ? 3.0 : 0.0;
   StaReport report;
   report.arrival.resize(static_cast<std::size_t>(view.num_nodes()), 0.0);
-  auto eval_gate = [&](NodeId id) {
+  for (NodeId id : view.gates_in_topo_order()) {
     const netlist::NodeSpan fanins = view.fanins(id);
     double u = report.arrival[static_cast<std::size_t>(fanins[0])];
     for (std::size_t i = 1; i < fanins.size(); ++i) {
@@ -113,11 +97,6 @@ StaReport run_sta(const netlist::TimingView& view, const std::vector<NormalRV>& 
     }
     report.arrival[static_cast<std::size_t>(id)] =
         u + gate_delays[static_cast<std::size_t>(id)].quantile_offset(k);
-  };
-  if (use_parallel(view)) {
-    runtime::LevelSchedule(view).for_each_gate(kGateGrain, eval_gate);
-  } else {
-    for (NodeId id : view.gates_in_topo_order()) eval_gate(id);
   }
   double total = 0.0;
   for (NodeId o : view.outputs()) {

@@ -28,14 +28,6 @@ struct TimingReport {
   stat::NormalRV circuit_delay;
 };
 
-/// Parallel dispatch thresholds shared by the sweeps here and by the
-/// IncrementalEngine's per-level-bucket parallel decision (incremental.h):
-/// below kParallelGateCutoff gates the levelized fan-out costs more than it
-/// saves. Results are identical either way — each gate's fanin fold is a
-/// fixed serial computation; parallelism only changes which thread runs it.
-inline constexpr int kParallelGateCutoff = 192;
-inline constexpr std::size_t kGateGrain = 32;
-
 /// Propagates arrival times through `circuit` given per-node gate delays
 /// (from DelayCalculator::all_delays or custom). `input_arrival` applies to
 /// every primary input; per-input schedules can be passed via the overload.

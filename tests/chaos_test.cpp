@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "runtime/fault.h"
+#include "runtime/runtime.h"
 #include "serve/client.h"
 #include "serve/journal.h"
 #include "serve/server.h"
@@ -306,6 +307,37 @@ class ChaosServeTest : public ::testing::Test {
     return os.str();
   }
 
+  /// An admit record whose params object is `params_json` verbatim: what a
+  /// daemon with looser admission ranges may have journaled.
+  static std::string admit_record_with_params(const std::string& id,
+                                              const std::string& circuit_key,
+                                              const std::string& params_json) {
+    return "{\"kind\": \"admit\", \"id\": \"" + id + "\", \"type\": \"ssta\", " +
+           "\"circuit\": \"" + circuit_key + "\", \"idempotency_key\": \"\", " +
+           "\"params\": " + params_json + "}";
+  }
+
+  /// Journals a queued job with `params_json` ahead of a valid one, restarts,
+  /// and checks that the first fails naming `field` while the second runs.
+  void ExpectOutOfRangeQueuedJobFailsNaming(const std::string& params_json,
+                                            const std::string& field) {
+    {
+      serve::Journal journal({dir_, serve::FsyncPolicy::kNone});
+      journal.append(circuit_record());
+      journal.append(admit_record_with_params("job-000001", c17_key(), params_json));
+      journal.append(admit_record("job-000002", c17_key()));
+    }
+    StartServer();
+    EXPECT_EQ(server_->metrics().jobs_recovered.value(), 2);
+    const util::JsonValue bad = client_->wait("job-000001");
+    EXPECT_EQ(bad.string_or("state", ""), "failed");
+    const std::string error = bad.string_or("error", "");
+    EXPECT_NE(error.find("recovery failed"), std::string::npos) << error;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+    const util::JsonValue good = client_->wait("job-000002");
+    EXPECT_EQ(good.string_or("state", ""), "done") << good.string_or("error", "");
+  }
+
   static std::string start_record(const std::string& id) {
     return "{\"kind\": \"start\", \"id\": \"" + id + "\"}";
   }
@@ -428,6 +460,25 @@ TEST_F(ChaosServeTest, QueuedJobWithMissingCircuitFailsWithNamedError) {
   const std::string error = doc.string_or("error", "");
   EXPECT_NE(error.find("c-0000000000000bad"), std::string::npos) << error;
   EXPECT_NE(error.find("re-upload"), std::string::npos) << error;
+}
+
+// A journal may predate today's admission ranges (an older daemon admitted
+// "jobs" up to 1024 and a negative "max_retries", and narrowed 2^32 + 1
+// samples to 1). Replay applies the same ranges as admission, so such a job
+// fails by name instead of running with the out-of-range value.
+TEST_F(ChaosServeTest, QueuedJobWithTooManyThreadsFailsWithNamedError) {
+  // hardware_threads() + 1, not 1024: if the check regressed, the test must
+  // not start a large pool.
+  ExpectOutOfRangeQueuedJobFailsNaming(
+      "{\"jobs\": " + std::to_string(runtime::hardware_threads() + 1) + "}", "jobs");
+}
+
+TEST_F(ChaosServeTest, QueuedJobWithNegativeMaxRetriesFailsWithNamedError) {
+  ExpectOutOfRangeQueuedJobFailsNaming("{\"max_retries\": -1}", "max_retries");
+}
+
+TEST_F(ChaosServeTest, QueuedJobWithWrappingSampleCountFailsWithNamedError) {
+  ExpectOutOfRangeQueuedJobFailsNaming("{\"mc_samples\": 4294967297}", "samples");
 }
 
 TEST_F(ChaosServeTest, LiveWorkAndGracefulStopSurviveRestart) {

@@ -5,7 +5,7 @@
 // contract on the Circuit side, the IncrementalEngine's bit-identity pin
 // against full run_ssta recompute, the ReducedEvaluator's persistent forward
 // tape, and the Sizer warm-start path. The property suite drives random mixed
-// edit sequences across --jobs {1,4} x serial cutoff {0, advised} and demands
+// edit sequences across --jobs {1,4} and demands
 // EXPECT_EQ (bitwise) agreement of arrivals, Tmax, slacks, and gradients with
 // a from-scratch recompute at every step.
 
@@ -267,6 +267,21 @@ TEST(IncrementalEngine, SpeedAndParamsEditsMatchFullRecompute) {
   EXPECT_GT(engine.last_arrival_recomputes(), 0u);
 }
 
+TEST(IncrementalEngine, BatchEditOfEveryGateMatchesFullRecompute) {
+  // Every bucket at every level is dirty, so each gate reads fanins that the
+  // same propagate pass committed in place at lower levels.
+  const Circuit c = small_dag(200, 37);
+  IncrementalEngine engine(c.view(), unit_speed(c.view()));
+  const std::vector<NodeId>& gates = c.view().gates_in_topo_order();
+  std::vector<TimingEdit> edits;
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    edits.push_back(TimingEdit::set_speed(gates[i], 0.8 + 0.01 * static_cast<double>(i % 97)));
+  }
+  engine.apply_edits(edits);
+  EXPECT_EQ(engine.last_arrival_recomputes(), gates.size());
+  expect_engine_matches_full(engine);
+}
+
 TEST(IncrementalEngine, FullRecomputeIsIdempotentOnCaches) {
   const Circuit c = small_dag(60, 31);
   IncrementalEngine engine(c.view(), unit_speed(c.view()));
@@ -283,18 +298,11 @@ TEST(IncrementalEngine, FullRecomputeIsIdempotentOnCaches) {
 // ---------------------------------------------------------------------------
 // Property suite: random mixed edit sequences, bit-identity of everything the
 // stack serves (arrivals, Tmax, slacks, gradients) vs full recompute, across
-// --jobs {1,4} x serial cutoff {0, advised}.
+// --jobs {1,4}.
 
-void run_edit_sequence_property(int jobs, bool advised_cutoff) {
+void run_edit_sequence_property(int jobs) {
   runtime::set_threads(jobs);
-  if (advised_cutoff) {
-    runtime::reset_level_serial_cutoff();  // re-resolves to the advised auto value
-  } else {
-    runtime::set_level_serial_cutoff(0);  // every level pays the pool
-  }
 
-  // ~300 gates: comfortably above the parallel gate cutoff so the pooled
-  // kernels actually run at jobs > 1.
   const Circuit c = small_dag(300, 77);
   const ssta::SigmaModel sigma{};
   IncrementalEngine engine(c.view(), unit_speed(c.view()), sigma);
@@ -302,8 +310,7 @@ void run_edit_sequence_property(int jobs, bool advised_cutoff) {
   const std::vector<NodeId>& gates = engine.view().gates_in_topo_order();
   const double deadline = engine.tmax().mu * 1.05;
 
-  std::mt19937 rng(20260807u + static_cast<unsigned>(jobs) * 2u +
-                   (advised_cutoff ? 1u : 0u));
+  std::mt19937 rng(20260807u + static_cast<unsigned>(jobs) * 2u);
   std::uniform_int_distribution<std::size_t> pick_gate(0, gates.size() - 1);
   std::uniform_real_distribution<double> speed_dist(0.6, 2.4);
   std::uniform_real_distribution<double> scale_dist(0.9, 1.1);
@@ -370,16 +377,14 @@ void run_edit_sequence_property(int jobs, bool advised_cutoff) {
 
 class EditSequenceProperty : public ::testing::Test {
  protected:
-  void TearDown() override {
-    runtime::set_threads(0);  // back to auto
-    runtime::reset_level_serial_cutoff();
-  }
+  void TearDown() override { runtime::set_threads(saved_threads_); }
+
+ private:
+  int saved_threads_ = runtime::threads();
 };
 
-TEST_F(EditSequenceProperty, Jobs1CutoffZero) { run_edit_sequence_property(1, false); }
-TEST_F(EditSequenceProperty, Jobs1CutoffAdvised) { run_edit_sequence_property(1, true); }
-TEST_F(EditSequenceProperty, Jobs4CutoffZero) { run_edit_sequence_property(4, false); }
-TEST_F(EditSequenceProperty, Jobs4CutoffAdvised) { run_edit_sequence_property(4, true); }
+TEST_F(EditSequenceProperty, Jobs1) { run_edit_sequence_property(1); }
+TEST_F(EditSequenceProperty, Jobs4) { run_edit_sequence_property(4); }
 
 // ---------------------------------------------------------------------------
 // ReducedEvaluator cache behaviour.
@@ -431,6 +436,32 @@ TEST(ReducedEvaluatorCache, UnnotedViewEditStillYieldsColdBits) {
   EXPECT_EQ(t_warm.mu, t_cold.mu);
   EXPECT_EQ(t_warm.var, t_cold.var);
   for (std::size_t i = 0; i < g_warm.size(); ++i) EXPECT_EQ(g_warm[i], g_cold[i]);
+}
+
+TEST(ReducedEvaluatorCache, ReusedAdjointScratchMatchesAFreshEvaluator) {
+  // The adjoint's fanin/fanout scratch is sized once with the tape and reused
+  // by every call; nothing from an earlier speed vector may leak into a later
+  // gradient.
+  const Circuit c = small_dag(200, 47);
+  const ssta::SigmaModel sigma{};
+  core::ReducedEvaluator reused(c.view(), sigma);
+  std::vector<double> speed = unit_speed(c.view());
+  std::vector<double> g_reused, g_fresh;
+  reused.eval_with_grad(speed, 1.0, 3.0, g_reused);
+  for (std::size_t i = 0; i < speed.size(); ++i) {
+    speed[i] = 0.7 + 0.013 * static_cast<double>(i % 113);
+  }
+  std::vector<double> trial = speed;
+  for (double& s : trial) s *= 1.1;
+  reused.eval_forward(trial);  // a value-only line-search trial in between
+  const stat::NormalRV t_reused = reused.eval_with_grad(speed, 1.0, 3.0, g_reused);
+
+  core::ReducedEvaluator fresh(c.view(), sigma);
+  const stat::NormalRV t_fresh = fresh.eval_with_grad(speed, 1.0, 3.0, g_fresh);
+  EXPECT_EQ(t_reused.mu, t_fresh.mu);
+  EXPECT_EQ(t_reused.var, t_fresh.var);
+  ASSERT_EQ(g_reused.size(), g_fresh.size());
+  for (std::size_t i = 0; i < g_fresh.size(); ++i) EXPECT_EQ(g_reused[i], g_fresh[i]) << i;
 }
 
 // ---------------------------------------------------------------------------

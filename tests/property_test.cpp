@@ -184,10 +184,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClarkMinVsMc, ::testing::Range(0, 8));
 // was retargeted from per-Node walks onto the flat CSR TimingView. The
 // refactoring contract is bit-identity, so these tests keep independent
 // Node-walk reference engines — written against Circuit/Node only, never the
-// view — and require EXPECT_EQ-equal doubles from the production paths, both
-// serially (--jobs 1) and on the level-parallel runtime (--jobs 4; the
-// circuits sit above the 192-gate parallel cutoff so the parallel sweeps
-// really run).
+// view — and require EXPECT_EQ-equal doubles from the production paths at
+// --jobs 1 and --jobs 4 (the sweeps are serial at any --jobs; Monte Carlo
+// fans its trial chunks out across the pool).
 
 /// Restores the global thread setting on scope exit.
 class JobsGuard {
@@ -406,8 +405,6 @@ class TimingViewEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(TimingViewEquivalence, AllSweepsMatchTheNodeWalkAtEveryJobCount) {
   JobsGuard guard;
-  // 220 gates > the 192-gate parallel cutoff, so --jobs 4 runs the
-  // level-parallel SSTA/adjoint paths, not the serial fallback.
   const Circuit c = random_circuit(GetParam(), 220);
   const ssta::SigmaModel sm{0.25, 0.02};
   const ssta::DelayCalculator calc(c, sm);

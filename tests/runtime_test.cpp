@@ -1,18 +1,15 @@
 // Tests for the parallel execution runtime (src/runtime/): thread-pool
-// lifecycle, exception propagation, nested submission, the levelized
-// scheduler's finalization contract, and — the load-bearing property — that
-// SSTA, Monte Carlo and NLP evaluation produce bit-identical results at any
-// thread count (serial path, --jobs 1, --jobs N).
+// lifecycle, exception propagation, nested parallel_for, and — the
+// load-bearing property — that SSTA, Monte Carlo and NLP evaluation produce
+// bit-identical results at any thread count (serial path, --jobs 1,
+// --jobs N).
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +19,6 @@
 #include "netlist/generators.h"
 #include "nlp/auglag.h"
 #include "nlp/problem.h"
-#include "runtime/level_schedule.h"
 #include "runtime/runtime.h"
 #include "runtime/scatter_plan.h"
 #include "runtime/thread_pool.h"
@@ -45,14 +41,6 @@ class ThreadGuard {
   int saved_;
 };
 
-/// Returns the serial-cutoff state to env/auto resolution on scope exit so
-/// tests that install explicit cutoffs do not leak them into each other.
-class CutoffGuard {
- public:
-  CutoffGuard() = default;
-  ~CutoffGuard() { runtime::reset_level_serial_cutoff(); }
-};
-
 netlist::Circuit medium_dag(int gates = 400) {
   netlist::RandomDagParams p;
   p.num_gates = gates;
@@ -72,14 +60,10 @@ TEST(ThreadPool, StartStopRepeatedly) {
       runtime::ThreadPool pool(threads);
       EXPECT_EQ(pool.num_threads(), threads);
       std::atomic<int> ran{0};
-      for (int i = 0; i < 16; ++i) {
-        pool.submit([&ran] { ran.fetch_add(1); });
-      }
-      // parallel_for is a full barrier over its own work; drain the async
-      // submissions by destroying the pool below (joins workers) — but the
-      // tasks must have been queued without deadlock either way.
-      pool.parallel_for(64, 8, [](std::size_t, std::size_t) {});
-      (void)ran;
+      pool.parallel_for(64, 8, [&ran](std::size_t b, std::size_t e) {
+        ran.fetch_add(static_cast<int>(e - b));
+      });
+      EXPECT_EQ(ran.load(), 64);
     }
   }
 }
@@ -121,53 +105,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     }
   });
   EXPECT_EQ(total.load(), 8 * 64);
-}
-
-TEST(ThreadPool, SubmitBurstWakesEveryWorker) {
-  // Wake-reliability stress at 2x hardware oversubscription: every burst of
-  // submits must be fully drained even when all workers were asleep when the
-  // burst arrived (the old single-notify_one wake could strand N-1 tasks
-  // behind one worker). Rounds with an idle gap in between push the workers
-  // through the spin window into the blocking wait before the next burst.
-  const int threads = 2 * runtime::hardware_threads() + 2;
-  runtime::ThreadPool pool(threads);
-  for (int round = 0; round < 10; ++round) {
-    const int burst = 2 * threads;
-    std::atomic<int> done{0};
-    for (int i = 0; i < burst; ++i) {
-      pool.submit([&done, &pool] {
-        // Nested parallel_for from a pool worker: must run inline, not
-        // deadlock on the region machinery.
-        pool.parallel_for(64, 8, [](std::size_t, std::size_t) {});
-        // seq_cst: the observing spin-load below must happen-before the next
-        // round's re-construction of `done` at the same stack slot.
-        done.fetch_add(1);
-      });
-    }
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (done.load() < burst && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    ASSERT_EQ(done.load(), burst) << "lost wakeup: burst not drained in round " << round;
-  }
-}
-
-TEST(ThreadPool, SubmitInterleavedWithParallelForDrainsBoth) {
-  runtime::ThreadPool pool(4);
-  std::atomic<int> tasks_run{0};
-  std::atomic<long> iters{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.submit([&tasks_run] { tasks_run.fetch_add(1, std::memory_order_relaxed); });
-    pool.parallel_for(128, 8, [&](std::size_t b, std::size_t e) {
-      iters.fetch_add(static_cast<long>(e - b), std::memory_order_relaxed);
-    });
-  }
-  EXPECT_EQ(iters.load(), 50L * 128L);
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (tasks_run.load() < 50 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(tasks_run.load(), 50);
 }
 
 TEST(Runtime, SetThreadsClampsAndSticks) {
@@ -231,141 +168,6 @@ TEST(Runtime, JobsEnvFallbackIsAlwaysPositive) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial-cutoff resolution (the granularity advisor's live counterpart)
-// ---------------------------------------------------------------------------
-
-TEST(Runtime, SerialCutoffAutoFollowsThreadCount) {
-  ThreadGuard guard;
-  CutoffGuard cutoff_guard;
-  ::unsetenv("STATSIZE_SERIAL_CUTOFF");
-  runtime::reset_level_serial_cutoff();
-
-  runtime::set_threads(4);
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kAuto);
-  runtime::DispatchCostModel m4;
-  m4.threads = 4;
-  EXPECT_EQ(runtime::level_serial_cutoff(), runtime::compute_serial_cutoff(m4));
-
-  // The crossover is a function of the thread count: set_threads must drop
-  // the cached auto value and the next query recompute at the new count.
-  runtime::set_threads(2);
-  runtime::DispatchCostModel m2;
-  m2.threads = 2;
-  EXPECT_EQ(runtime::level_serial_cutoff(), runtime::compute_serial_cutoff(m2));
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kAuto);
-
-  // At one thread the pool can never pay: the cutoff saturates at the cap.
-  runtime::set_threads(1);
-  EXPECT_EQ(runtime::level_serial_cutoff(), runtime::kSerialCutoffCap);
-}
-
-TEST(Runtime, SerialCutoffExplicitInstallSurvivesSetThreads) {
-  ThreadGuard guard;
-  CutoffGuard cutoff_guard;
-  runtime::set_level_serial_cutoff(7);
-  EXPECT_EQ(runtime::level_serial_cutoff(), 7u);
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kExplicit);
-  // serve sets threads then the cutoff per job; a later set_threads must not
-  // silently revert the explicit install to the auto model.
-  runtime::set_threads(3);
-  EXPECT_EQ(runtime::level_serial_cutoff(), 7u);
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kExplicit);
-}
-
-TEST(Runtime, SerialCutoffEnvOverrideWinsOverAuto) {
-  ThreadGuard guard;
-  CutoffGuard cutoff_guard;
-  ::setenv("STATSIZE_SERIAL_CUTOFF", "123", 1);
-  runtime::reset_level_serial_cutoff();
-  EXPECT_EQ(runtime::level_serial_cutoff(), 123u);
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kEnv);
-  runtime::set_threads(4);  // env installs survive thread-count changes
-  EXPECT_EQ(runtime::level_serial_cutoff(), 123u);
-  ::unsetenv("STATSIZE_SERIAL_CUTOFF");
-  runtime::reset_level_serial_cutoff();
-  EXPECT_EQ(runtime::level_serial_cutoff_source(), runtime::SerialCutoffSource::kAuto);
-}
-
-TEST(Runtime, MeasureChunkDispatchMeasuresARealPoolAtOneThread) {
-  ThreadGuard guard;
-  // At a 1-thread setting runtime::parallel_for short-circuits to a plain
-  // loop; the measurement must not silently report that near-zero cost as
-  // the pool's dispatch overhead. It spins up a temporary 2-thread pool and
-  // says so via the out-parameter.
-  runtime::set_threads(1);
-  bool on_temporary = false;
-  const double ns1 = runtime::measure_chunk_dispatch_ns(2, &on_temporary);
-  EXPECT_TRUE(on_temporary);
-  EXPECT_GT(ns1, 0.0);
-
-  runtime::set_threads(2);
-  const double ns2 = runtime::measure_chunk_dispatch_ns(2, &on_temporary);
-  EXPECT_FALSE(on_temporary);
-  EXPECT_GT(ns2, 0.0);
-}
-
-TEST(Runtime, BlockedReductionsAreThreadCountInvariant) {
-  ThreadGuard guard;
-  std::vector<double> data(10000);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = 1e-3 * static_cast<double>((i * 2654435761U) % 1000) - 0.3;
-  }
-  auto block_sum = [&](std::size_t b, std::size_t e) {
-    double acc = 0.0;
-    for (std::size_t i = b; i < e; ++i) acc += data[i];
-    return acc;
-  };
-  runtime::set_threads(1);
-  const double s1 = runtime::parallel_sum_blocks(data.size(), 128, block_sum);
-  runtime::set_threads(4);
-  const double s4 = runtime::parallel_sum_blocks(data.size(), 128, block_sum);
-  EXPECT_EQ(s1, s4);  // bitwise: same blocks, same combine order
-}
-
-// ---------------------------------------------------------------------------
-// LevelSchedule
-// ---------------------------------------------------------------------------
-
-TEST(LevelSchedule, RejectsNonFinalizedCircuit) {
-  const netlist::CellLibrary& lib = netlist::CellLibrary::standard();
-  netlist::Circuit c(lib);
-  const netlist::NodeId a = c.add_input("a");
-  c.add_gate(lib.cell_for_inputs(1), {a}, "g");
-  EXPECT_THROW(runtime::LevelSchedule sched(c), std::logic_error);
-}
-
-TEST(LevelSchedule, LevelsRespectDependenciesAndCoverAllGates) {
-  const netlist::Circuit c = medium_dag();
-  const runtime::LevelSchedule sched(c);
-  EXPECT_EQ(sched.num_levels(), c.depth());
-  int seen = 0;
-  for (int l = 0; l < sched.num_levels(); ++l) {
-    for (netlist::NodeId id : sched.level(l)) {
-      EXPECT_EQ(c.node_level(id), l + 1);
-      for (netlist::NodeId f : c.node(id).fanins) {
-        EXPECT_LT(c.node_level(f), l + 1) << "fanin scheduled at or after its sink";
-      }
-      ++seen;
-    }
-  }
-  EXPECT_EQ(seen, c.num_gates());
-}
-
-TEST(LevelSchedule, ForEachGateVisitsEveryGateOnce) {
-  ThreadGuard guard;
-  runtime::set_threads(4);
-  const netlist::Circuit c = medium_dag();
-  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(c.num_nodes()));
-  runtime::LevelSchedule(c).for_each_gate(8, [&](netlist::NodeId id) {
-    hits[static_cast<std::size_t>(id)].fetch_add(1);
-  });
-  for (netlist::NodeId id : c.topo_order()) {
-    const int expect = c.node(id).kind == netlist::NodeKind::kGate ? 1 : 0;
-    EXPECT_EQ(hits[static_cast<std::size_t>(id)].load(), expect);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Determinism across thread counts — the acceptance bar for the runtime.
 // ---------------------------------------------------------------------------
 
@@ -376,7 +178,7 @@ TEST(Determinism, SstaArrivalsBitwiseEqualAcrossThreadCounts) {
   const std::vector<double> speed(static_cast<std::size_t>(c.num_nodes()), 1.3);
   const auto delays = calc.all_delays(speed);
 
-  runtime::set_threads(1);  // serial branch (below parallel cutoff by thread count)
+  runtime::set_threads(1);
   const ssta::TimingReport serial = ssta::run_ssta(c, delays);
   for (int threads : {2, 4}) {
     runtime::set_threads(threads);
@@ -388,6 +190,26 @@ TEST(Determinism, SstaArrivalsBitwiseEqualAcrossThreadCounts) {
     }
     EXPECT_EQ(par.circuit_delay.mu, serial.circuit_delay.mu);
     EXPECT_EQ(par.circuit_delay.var, serial.circuit_delay.var);
+  }
+}
+
+TEST(Determinism, StaArrivalsBitwiseEqualAcrossThreadCounts) {
+  ThreadGuard guard;
+  const netlist::Circuit c = medium_dag();
+  const ssta::DelayCalculator calc(c, {0.25, 0.0});
+  const std::vector<double> speed(static_cast<std::size_t>(c.num_nodes()), 1.3);
+  const auto delays = calc.all_delays(speed);
+
+  for (const ssta::Corner corner :
+       {ssta::Corner::kBest, ssta::Corner::kTypical, ssta::Corner::kWorst}) {
+    runtime::set_threads(1);
+    const ssta::StaReport serial = ssta::run_sta(c, delays, corner);
+    for (int threads : {2, 4}) {
+      runtime::set_threads(threads);
+      const ssta::StaReport par = ssta::run_sta(c, delays, corner);
+      EXPECT_EQ(par.arrival, serial.arrival) << threads << " threads";
+      EXPECT_EQ(par.circuit_delay, serial.circuit_delay) << threads << " threads";
+    }
   }
 }
 
@@ -506,14 +328,11 @@ TEST(Determinism, ReducedSpaceGradientBitwiseEqualAcrossThreadCounts) {
   }
 }
 
-TEST(Determinism, KernelsBitwiseEqualAcrossThreadsAndSerialCutoffs) {
-  // The full acceptance matrix: --jobs {1,2,4} x serial-cutoff {0, advised}
-  // for every parallel kernel. Cutoff 0 offers every level/fold to the pool;
-  // the advised (auto) cutoff runs narrow levels inline — both must be
-  // bit-identical to the 1-thread reference, or the cutoff would not be the
-  // pure wall-clock lever the advisor promises.
+TEST(Determinism, KernelsBitwiseEqualAcrossThreads) {
+  // The full acceptance matrix: --jobs {1,2,4} for every kernel, parallel
+  // (Monte Carlo, hess_vec) or serial at any thread count (SSTA, the
+  // reduced-space adjoint) — all bit-identical to the 1-thread reference.
   ThreadGuard guard;
-  CutoffGuard cutoff_guard;
   const netlist::Circuit c = medium_dag(300);
   const ssta::DelayCalculator calc(c, {0.25, 0.0});
   const std::vector<double> speed(static_cast<std::size_t>(c.num_nodes()), 1.1);
@@ -536,7 +355,6 @@ TEST(Determinism, KernelsBitwiseEqualAcrossThreadsAndSerialCutoffs) {
   const core::ReducedEvaluator red(c, {0.25, 0.0});
 
   runtime::set_threads(1);
-  runtime::set_level_serial_cutoff(0);
   nlp::AugLagModel model(p, mult, 10.0);
   std::vector<double> grad_scratch;
   model.eval(x, &grad_scratch);  // snapshot the element Hessians at x
@@ -549,41 +367,33 @@ TEST(Determinism, KernelsBitwiseEqualAcrossThreadsAndSerialCutoffs) {
   const stat::NormalRV t_ref = red.eval_with_grad(ones, 1.0, 0.5, adj_ref);
 
   for (const int threads : {1, 2, 4}) {
-    for (const bool advised : {false, true}) {
-      runtime::set_threads(threads);
-      if (advised) {
-        runtime::reset_level_serial_cutoff();  // auto: the cost-model crossover
-      } else {
-        runtime::set_level_serial_cutoff(0);  // pool everything
-      }
-      const std::string where = std::to_string(threads) + " threads, cutoff " +
-                                (advised ? "advised" : "0");
+    runtime::set_threads(threads);
+    const std::string where = std::to_string(threads) + " threads";
 
-      const ssta::TimingReport rep = ssta::run_ssta(c, delays);
-      ASSERT_EQ(rep.arrival.size(), ssta_ref.arrival.size());
-      for (std::size_t i = 0; i < rep.arrival.size(); ++i) {
-        EXPECT_EQ(rep.arrival[i].mu, ssta_ref.arrival[i].mu) << where << ", node " << i;
-        EXPECT_EQ(rep.arrival[i].var, ssta_ref.arrival[i].var) << where << ", node " << i;
-      }
-      EXPECT_EQ(rep.circuit_delay.mu, ssta_ref.circuit_delay.mu) << where;
-      EXPECT_EQ(rep.circuit_delay.var, ssta_ref.circuit_delay.var) << where;
-
-      const ssta::MonteCarloResult mc = ssta::run_monte_carlo(c, delays, mco);
-      EXPECT_EQ(mc.mean, mc_ref.mean) << where;
-      EXPECT_EQ(mc.stddev, mc_ref.stddev) << where;
-      EXPECT_EQ(mc.samples, mc_ref.samples) << where;
-      EXPECT_EQ(ssta::monte_carlo_criticality(c, delays, mco), crit_ref) << where;
-
-      std::vector<double> hv;
-      model.hess_vec(v, hv);
-      EXPECT_EQ(hv, hv_ref) << where;
-
-      std::vector<double> adj;
-      const stat::NormalRV t = red.eval_with_grad(ones, 1.0, 0.5, adj);
-      EXPECT_EQ(t.mu, t_ref.mu) << where;
-      EXPECT_EQ(t.var, t_ref.var) << where;
-      EXPECT_EQ(adj, adj_ref) << where;
+    const ssta::TimingReport rep = ssta::run_ssta(c, delays);
+    ASSERT_EQ(rep.arrival.size(), ssta_ref.arrival.size());
+    for (std::size_t i = 0; i < rep.arrival.size(); ++i) {
+      EXPECT_EQ(rep.arrival[i].mu, ssta_ref.arrival[i].mu) << where << ", node " << i;
+      EXPECT_EQ(rep.arrival[i].var, ssta_ref.arrival[i].var) << where << ", node " << i;
     }
+    EXPECT_EQ(rep.circuit_delay.mu, ssta_ref.circuit_delay.mu) << where;
+    EXPECT_EQ(rep.circuit_delay.var, ssta_ref.circuit_delay.var) << where;
+
+    const ssta::MonteCarloResult mc = ssta::run_monte_carlo(c, delays, mco);
+    EXPECT_EQ(mc.mean, mc_ref.mean) << where;
+    EXPECT_EQ(mc.stddev, mc_ref.stddev) << where;
+    EXPECT_EQ(mc.samples, mc_ref.samples) << where;
+    EXPECT_EQ(ssta::monte_carlo_criticality(c, delays, mco), crit_ref) << where;
+
+    std::vector<double> hv;
+    model.hess_vec(v, hv);
+    EXPECT_EQ(hv, hv_ref) << where;
+
+    std::vector<double> adj;
+    const stat::NormalRV t = red.eval_with_grad(ones, 1.0, 0.5, adj);
+    EXPECT_EQ(t.mu, t_ref.mu) << where;
+    EXPECT_EQ(t.var, t_ref.var) << where;
+    EXPECT_EQ(adj, adj_ref) << where;
   }
 }
 

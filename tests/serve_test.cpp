@@ -11,6 +11,7 @@
 #include <csignal>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "netlist/blif.h"
 #include "netlist/generators.h"
 #include "netlist/timing_view.h"
+#include "runtime/runtime.h"
 #include "runtime/signal.h"
 #include "serve/circuit_cache.h"
 #include "serve/client.h"
@@ -163,6 +165,168 @@ TEST_F(ServeTest, UnknownTargetsAndParamsAreRejected) {
                 .status,
             400);
   EXPECT_EQ(client_->request("PUT", "/v1/circuits").status, 405);
+}
+
+TEST_F(ServeTest, OutOfRangeJobParamsAre400NamingTheField) {
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif");
+  struct Case {
+    std::string type;
+    std::string extra;
+    std::string field;
+  };
+  const Case cases[] = {
+      // Regression: a negative retry budget ran zero sizing attempts and
+      // crashed the executor.
+      {"size", "\"max_retries\": -1", "max_retries"},
+      // Regression: 2^32 + 1 narrowed to int became 1 and passed.
+      {"monte_carlo", "\"samples\": 4294967297", "samples"},
+      {"monte_carlo", "\"samples\": 0", "samples"},
+      {"ssta", "\"jobs\": -1", "jobs"},
+      {"ssta", "\"deadline_ms\": -5", "deadline_ms"},
+  };
+  for (const Case& c : cases) {
+    const serve::ApiResult r = client_->request("POST", "/v1/jobs", job_body(key, c.type, c.extra));
+    EXPECT_EQ(r.status, 400) << c.extra << " -> " << r.body;
+    EXPECT_NE(r.json().string_or("error", "").find(c.field), std::string::npos)
+        << c.extra << " -> " << r.body;
+  }
+  // The daemon is still serving.
+  const util::JsonValue doc = client_->wait(client_->submit(job_body(key, "ssta")));
+  EXPECT_EQ(doc.string_or("state", ""), "done") << doc.string_or("error", "");
+}
+
+TEST_F(ServeTest, JobThreadCountIsBoundedAndRestoredAfterEachJob) {
+  // The daemon's own --jobs stands in as 2 here; a job may ask for 1..hw
+  // threads for itself, and every later job starts from the daemon's count.
+  const int saved = runtime::threads();
+  runtime::set_threads(2);
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif");
+
+  const int too_many = runtime::hardware_threads() + 1;
+  const serve::ApiResult r = client_->request(
+      "POST", "/v1/jobs", job_body(key, "ssta", "\"jobs\": " + std::to_string(too_many)));
+  EXPECT_EQ(r.status, 400) << r.body;
+  EXPECT_NE(r.json().string_or("error", "").find("jobs"), std::string::npos) << r.body;
+
+  const util::JsonValue doc =
+      client_->wait(client_->submit(job_body(key, "ssta", "\"jobs\": 1")));
+  EXPECT_EQ(doc.string_or("state", ""), "done") << doc.string_or("error", "");
+  EXPECT_EQ(runtime::threads(), 2);
+
+  server_->stop();
+  server_.reset();
+  runtime::set_threads(saved);
+}
+
+TEST_F(ServeTest, ThreadCountIsRestoredAfterACancelledJob) {
+  // The restore also runs when the job ends in an exception, not only on done.
+  const int saved = runtime::threads();
+  runtime::set_threads(2);
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif");
+  const std::string id = client_->submit(job_body(
+      key, "monte_carlo", "\"samples\": 200000000, \"deadline_ms\": 30, \"jobs\": 1"));
+  const util::JsonValue doc = client_->wait(id, 0.02, 60.0);
+  EXPECT_EQ(doc.string_or("state", ""), "cancelled") << doc.string_or("error", "");
+  EXPECT_EQ(runtime::threads(), 2);
+
+  server_->stop();
+  server_.reset();
+  runtime::set_threads(saved);
+}
+
+TEST_F(ServeTest, JobMayAskForEveryHardwareThread) {
+  // The upper bound of the "jobs" range is inclusive.
+  StartServer();
+  const std::string key = client_->upload(kC17, "blif");
+  const std::string jobs = std::to_string(runtime::hardware_threads());
+  const util::JsonValue doc =
+      client_->wait(client_->submit(job_body(key, "ssta", "\"jobs\": " + jobs)));
+  EXPECT_EQ(doc.string_or("state", ""), "done") << doc.string_or("error", "");
+}
+
+TEST_F(ServeTest, UploadReportsTheTimingViewLevelCount) {
+  StartServer();
+  const std::string blif = apex1_blif();
+  const serve::ApiResult r = client_->request(
+      "POST", "/v1/circuits", "{\"format\": \"blif\", \"name\": \"apex1\", \"text\": \"" +
+                                  util::JsonWriter::escape(blif) + "\"}");
+  ASSERT_EQ(r.status, 201) << r.body;
+  std::istringstream in(blif);
+  const netlist::Circuit c = netlist::read_blif(in);
+  const util::JsonValue doc = r.json();
+  EXPECT_EQ(doc.int_or("levels", -1), c.view().num_levels());
+  EXPECT_EQ(doc.int_or("gates", -1), c.num_gates());
+  // Sweeps are serial, so there is no per-circuit parallel cutoff to report.
+  EXPECT_EQ(doc.find("serial_cutoff"), nullptr) << r.body;
+}
+
+// Journal admit records carry JobParams through write_job_params and
+// job_params_from_json.
+TEST(JobParamsJson, RoundTripsEveryField) {
+  serve::JobParams p;
+  p.deadline_ms = 12.5;
+  p.jobs = 1;
+  p.sigma_kappa = 0.3;
+  p.sigma_offset = 0.01;
+  p.speed = 1.25;
+  p.corner = "typical";
+  p.mc_samples = 777;
+  p.mc_seed = 42;
+  p.objective = "area";
+  p.sigma_weight = 2.0;
+  p.max_delay = 9.75;
+  p.constraint_sigma_weight = 3.0;
+  p.method = "full";
+  p.max_speed = 2.5;
+  p.max_retries = 2;
+  std::ostringstream os;
+  util::JsonWriter w(os);
+  serve::write_job_params(w, p);
+  const serve::JobParams q = serve::job_params_from_json(util::parse_json(os.str()));
+  EXPECT_EQ(q.deadline_ms, p.deadline_ms);
+  EXPECT_EQ(q.jobs, p.jobs);
+  EXPECT_EQ(q.sigma_kappa, p.sigma_kappa);
+  EXPECT_EQ(q.sigma_offset, p.sigma_offset);
+  EXPECT_EQ(q.speed, p.speed);
+  EXPECT_EQ(q.corner, p.corner);
+  EXPECT_EQ(q.mc_samples, p.mc_samples);
+  EXPECT_EQ(q.mc_seed, p.mc_seed);
+  EXPECT_EQ(q.objective, p.objective);
+  EXPECT_EQ(q.sigma_weight, p.sigma_weight);
+  EXPECT_EQ(q.max_delay, p.max_delay);
+  EXPECT_EQ(q.constraint_sigma_weight, p.constraint_sigma_weight);
+  EXPECT_EQ(q.method, p.method);
+  EXPECT_EQ(q.max_speed, p.max_speed);
+  EXPECT_EQ(q.max_retries, p.max_retries);
+}
+
+TEST(JobParamsJson, OutOfRangeFieldsThrowNamingTheField) {
+  struct Case {
+    std::string json;
+    std::string field;
+  };
+  const Case cases[] = {
+      {"{\"jobs\": " + std::to_string(runtime::hardware_threads() + 1) + "}", "jobs"},
+      {"{\"jobs\": -1}", "jobs"},
+      {"{\"mc_samples\": 4294967297}", "samples"},
+      {"{\"mc_samples\": 0}", "samples"},
+      {"{\"max_retries\": -1}", "max_retries"},
+      {"{\"deadline_ms\": -5}", "deadline_ms"},
+  };
+  for (const Case& c : cases) {
+    try {
+      serve::job_params_from_json(util::parse_json(c.json));
+      ADD_FAILURE() << "accepted " << c.json;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << c.json << " -> " << e.what();
+    }
+  }
+  // The admission defaults (an empty params object) are in range.
+  EXPECT_NO_THROW(serve::job_params_from_json(util::parse_json("{}")));
 }
 
 TEST_F(ServeTest, DeadlinedSizeJobReturnsTimeLimitCheckpoint) {

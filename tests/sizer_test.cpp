@@ -294,6 +294,41 @@ TEST(SizerValidation, WeightedObjectiveNeedsMatchingWeights) {
   EXPECT_THROW(Sizer(c, spec), std::invalid_argument);
 }
 
+TEST(SizerValidation, NegativeMaxRetriesIsRejectedByName) {
+  // Regression: max_retries < 0 ran zero attempts and finish() then timed an
+  // empty speed vector (a null dereference in the batched load pass).
+  const Circuit c = netlist::make_tree_circuit();
+  SizingSpec spec;
+  spec.objective = Objective::min_delay(0.0);
+  for (const Method m : {Method::kReducedSpace, Method::kFullSpace}) {
+    SizerOptions o = opts(m);
+    o.max_retries = -1;
+    const Sizer sizer(c, spec);
+    try {
+      sizer.run(o);
+      ADD_FAILURE() << "run accepted max_retries = -1";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("max_retries"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(sizer.resize(o, SizingWarmStart{}), std::invalid_argument);
+  }
+}
+
+TEST(SizerValidation, ZeroMaxRetriesRunsExactlyOneAttempt) {
+  // The lower bound of the retry budget is accepted: one attempt, no restart.
+  const Circuit c = netlist::make_tree_circuit();
+  SizingSpec spec;
+  spec.objective = Objective::min_delay(0.0);
+  for (const Method m : {Method::kReducedSpace, Method::kFullSpace}) {
+    SizerOptions o = opts(m);
+    o.max_retries = 0;
+    const SizingResult r = Sizer(c, spec).run(o);
+    EXPECT_TRUE(r.converged) << r.status;
+    EXPECT_EQ(r.retries_used, 0);
+    EXPECT_EQ(r.speed.size(), static_cast<std::size_t>(c.num_nodes()));
+  }
+}
+
 TEST(SizerValidation, RejectsUnfinalizedAndBadSpecs) {
   netlist::Circuit open_circuit(netlist::CellLibrary::standard());
   open_circuit.add_input("a");

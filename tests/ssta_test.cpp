@@ -140,6 +140,15 @@ TEST(Ssta, RejectsMisSizedDelayVector) {
   EXPECT_THROW(run_sta(c, wrong, Corner::kTypical), std::invalid_argument);
 }
 
+TEST(DelayModel, AllDelaysRejectsMisSizedSpeedVector) {
+  const Circuit c = make_tree_circuit();
+  DelayCalculator calc(c);
+  EXPECT_THROW(calc.all_delays({}), std::invalid_argument);
+  std::vector<double> longer = unit_speed(c);
+  longer.push_back(1.0);
+  EXPECT_THROW(calc.all_delays(longer), std::invalid_argument);
+}
+
 TEST(Ssta, RejectsMisSizedInputArrivalVector) {
   // Regression: a short per-input schedule used to index past its end (one
   // slot per primary input is consumed in topological input order).

@@ -107,6 +107,61 @@ TEST(TimingView, TraversalViewsMatchCircuitOrders) {
   }
 }
 
+TEST(TimingView, LevelGatesRespectDependenciesAndCoverAllGates) {
+  // The level partition the adjoint sweeps and the ECO worklists rely on:
+  // every fanin sits at a strictly lower level, and the levels tile the gates.
+  netlist::RandomDagParams p;
+  p.num_gates = 400;
+  p.num_inputs = 24;
+  p.depth = 12;
+  p.seed = 7;
+  const Circuit c = make_random_dag(p);
+  const TimingView& v = c.view();
+  EXPECT_EQ(v.num_levels(), c.depth());
+  int seen = 0;
+  for (int l = 0; l < v.num_levels(); ++l) {
+    for (NodeId id : v.level_gates(l)) {
+      EXPECT_EQ(c.node_level(id), l + 1);
+      for (NodeId f : c.node(id).fanins) {
+        EXPECT_LT(c.node_level(f), l + 1) << "fanin at or after its sink's level";
+      }
+      ++seen;
+    }
+  }
+  EXPECT_EQ(seen, c.num_gates());
+}
+
+TEST(TimingView, LevelGatesListEachGateExactlyOnce) {
+  // A duplicate in one level and a gap in another would still add up to
+  // num_gates(); count per node instead. Within a level the gates keep
+  // topological order, which the adjoint's accumulation order depends on.
+  netlist::RandomDagParams p;
+  p.num_gates = 400;
+  p.num_inputs = 24;
+  p.depth = 12;
+  p.seed = 11;
+  const Circuit c = make_random_dag(p);
+  const TimingView& v = c.view();
+  std::vector<int> topo_pos(static_cast<std::size_t>(v.num_nodes()), -1);
+  const std::vector<NodeId>& topo = v.topo_order();
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    topo_pos[static_cast<std::size_t>(topo[i])] = static_cast<int>(i);
+  }
+  std::vector<int> hits(static_cast<std::size_t>(v.num_nodes()), 0);
+  for (int l = 0; l < v.num_levels(); ++l) {
+    int last = -1;
+    for (NodeId id : v.level_gates(l)) {
+      ++hits[static_cast<std::size_t>(id)];
+      EXPECT_GT(topo_pos[static_cast<std::size_t>(id)], last) << "level " << l;
+      last = topo_pos[static_cast<std::size_t>(id)];
+    }
+  }
+  for (NodeId id = 0; id < v.num_nodes(); ++id) {
+    const int expect = c.node(id).kind == netlist::NodeKind::kGate ? 1 : 0;
+    EXPECT_EQ(hits[static_cast<std::size_t>(id)], expect) << "node " << id;
+  }
+}
+
 TEST(TimingView, LoadCapacitanceIsBitIdenticalToTheNodeWalk) {
   const Circuit c = view_test_circuit(14);
   const TimingView& v = c.view();
