@@ -288,11 +288,12 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
   SizingResult warm;
   // An ECO warm start replaces the reduced-space pre-solve: the previous
   // solution's sizes already play the feasible-start role.
-  if (options.warm_start_full_space && warm_in == nullptr) {
+  const bool presolve = options.warm_start_full_space && warm_in == nullptr;
+  if (presolve) {
     SizerOptions pre = options;
     pre.method = Method::kReducedSpace;
     pre.verbose = false;
-    warm = run_reduced_space(pre, start, rho_scale, nullptr);
+    warm = run_reduced_space(pre, start, rho_scale, nullptr, /*absolute_feasibility=*/true);
     s0 = warm.speed;
   }
   FullSpaceFormulation form = build_full_space(*circuit_, spec_, s0);
@@ -310,11 +311,19 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
       nlp_warm.multipliers = warm_in->multipliers;
     }
     nlp_warm.rho = warm_in->rho;
+  } else if (presolve) {
+    // The pre-solve ends at a first-order point; its multipliers (the adjoint
+    // of the timing equations) certify it in the full space too. Zero
+    // multipliers would make the first subproblem push the feasible start
+    // out to ||c|| ~ 0.1 and spend the later outer iterations walking back.
+    nlp_warm.multipliers =
+        nlp::least_squares_multipliers(*form.problem, form.problem->start(), options.optimality_tol);
   }
   const nlp::SolveResult sol = nlp::solve_augmented_lagrangian(*form.problem, al, nlp_warm);
 
   SizingResult result;
   result.converged = sol.ok();
+  result.evaluations = warm.evaluations;
   result.status = "full-space/" + sol.status_string();
   result.speed = form.speeds_from(sol.x);
   result.objective_value = sol.objective;
@@ -331,7 +340,7 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
   // optimum; never return something worse than the point we started from.
   // (An expired deadline can make the rescore throw — keep the solver's
   // checkpoint in that case.)
-  if (!result.converged && options.warm_start_full_space && warm_in == nullptr) {
+  if (!result.converged && presolve) {
     bool use_warm = false;
     try {
       use_warm = score_sizing(*view_, spec_, warm.speed)
@@ -345,7 +354,6 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
       result.converged = warm.converged;
       result.status += "+fallback:" + warm.status;
       result.iterations += warm.iterations;
-      result.evaluations += warm.evaluations;
       result.warm.speed = result.speed;
     }
   }
@@ -353,8 +361,9 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
 }
 
 SizingResult Sizer::run_reduced_space(const SizerOptions& options,
-                                      const std::vector<double>& start,
-                                      double rho_scale, const SizingWarmStart* warm_in) const {
+                                      const std::vector<double>& start, double rho_scale,
+                                      const SizingWarmStart* warm_in,
+                                      bool absolute_feasibility) const {
   const netlist::TimingView& v = *view_;
   const ReducedEvaluator eval(v, spec_.sigma_model);
 
@@ -508,8 +517,12 @@ SizingResult Sizer::run_reduced_space(const SizerOptions& options,
     } else {
       const DelayConstraint& dc = *spec_.delay_constraint;
       // The delay metric is O(bound); judge feasibility relative to it so the
-      // same tolerance works for 7-unit trees and 150-unit netlists.
-      const double feas = options.feasibility_tol * (1.0 + std::abs(dc.bound));
+      // same tolerance works for 7-unit trees and 150-unit netlists. A
+      // full-space pre-solve meets the augmented Lagrangian's own absolute
+      // test on ||c||_inf instead, so the full-space start is feasible there.
+      const double feas = absolute_feasibility
+                              ? options.feasibility_tol
+                              : options.feasibility_tol * (1.0 + std::abs(dc.bound));
       bool done = false;
       double viol = 0.0;
       for (int outer = 0; outer < options.max_outer_iterations && !done; ++outer) {

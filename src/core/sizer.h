@@ -37,9 +37,10 @@ struct SizerOptions {
   int max_inner_iterations = 3000;
   /// Full-space runs first solve the cheap reduced-space problem and start
   /// the augmented Lagrangian from that sizing (the timing variables are
-  /// re-propagated, so the start is feasible). Dramatically fewer outer
-  /// iterations on anything beyond toy circuits; disable to reproduce the
-  /// paper's cold-start behaviour.
+  /// re-propagated, so the start is feasible) with the least-squares
+  /// multipliers of that point (nlp::least_squares_multipliers), which
+  /// certify it: the Table 1 rows converge in one trust-region iteration.
+  /// Disable to reproduce the paper's cold-start behaviour.
   bool warm_start_full_space = true;
   bool verbose = false;
 
@@ -89,9 +90,9 @@ struct SizingResult {
   int outer_iterations = 0;         ///< multiplier/penalty outer iterations
   /// Reduced-space objective evaluations — L-BFGS start points and
   /// line-search trials, one forward sweep each — summed over outer
-  /// iterations and over every retry attempt, kept or not (a full-space
-  /// run's reduced pre-solve counts only when its sizing is returned; the
-  /// full-space solver itself counts iterations only).
+  /// iterations and over every retry attempt, kept or not. A full-space run
+  /// counts its reduced pre-solve's evaluations whether or not that sizing
+  /// is returned; the full-space solver itself counts iterations only.
   int evaluations = 0;
   double wall_seconds = 0.0;
 
@@ -148,8 +149,12 @@ class Sizer {
                            double rho_scale, const SizingWarmStart* warm) const;
   SizingResult run_full_space(const SizerOptions& options, const std::vector<double>& start,
                               double rho_scale, const SizingWarmStart* warm) const;
+  /// `absolute_feasibility` holds the delay constraint to feasibility_tol
+  /// itself rather than feasibility_tol * (1 + |bound|) — the full-space
+  /// pre-solve's test, matching the augmented Lagrangian's.
   SizingResult run_reduced_space(const SizerOptions& options, const std::vector<double>& start,
-                                 double rho_scale, const SizingWarmStart* warm) const;
+                                 double rho_scale, const SizingWarmStart* warm,
+                                 bool absolute_feasibility = false) const;
   std::vector<double> default_start() const;
   void finish(SizingResult& result) const;
 

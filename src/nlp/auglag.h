@@ -43,11 +43,14 @@ struct AugLagOptions {
 
 enum class SolveStatus {
   kConverged,       ///< feasibility and first-order optimality tolerances met
-  kAcceptable,      ///< feasible and objective stagnant, but the inner solver
-                    ///< could not certify first-order optimality (typically
+  kAcceptable,      ///< feasible and objective stagnant with the projected
+                    ///< gradient within 10x optimality_tol: the inner solver
+                    ///< could not certify the last factor (typically
                     ///< ill-conditioning near an active-bound solution)
   kMaxIterations,   ///< outer budget exhausted; best iterate returned
-  kStalled,         ///< inner solver made no progress while infeasible
+  kStalled,         ///< no progress: infeasible at max_rho, or feasible and
+                    ///< objective stagnant with the projected gradient
+                    ///< beyond 10x optimality_tol
   kTimeLimit,       ///< a runtime::CancelScope deadline/cancel fired; the
                     ///< best checkpoint seen is returned (DESIGN.md §9)
   kNumericalBreakdown,  ///< a non-finite evaluation tripwire fired; the best
@@ -95,6 +98,28 @@ struct WarmStart {
   std::vector<double> multipliers;
   double rho = 0.0;  ///< <= 0 means options.initial_rho
 };
+
+/// Least-squares multiplier estimate at `x`:
+///
+///   argmin_lambda || P (grad f(x) - J(x)^T lambda) ||_2
+///
+/// where J is the constraint Jacobian and P keeps only the variables more
+/// than `held_tol` from a finite bound. At a feasible x, grad Psi = grad f -
+/// J^T lambda for any rho, so these multipliers make the projected gradient
+/// the inner solver tests as small as it can be there: started from a KKT
+/// point with them, the augmented Lagrangian needs no walk back. A variable
+/// within `held_tol` of its bound adds at most `held_tol` to that projected
+/// gradient when its gradient pushes into the bound, so pass the optimality
+/// tolerance. A much smaller span counts barely-inactive slacks as free and
+/// forces their constraints' multipliers to zero.
+///
+/// Solved by CGLS on a CSR copy of J's free columns, built once, with each
+/// row scaled to unit norm (that column scaling of the least-squares matrix
+/// roughly halves the iterations on the sizing problems). A constraint that
+/// touches no free variable gets lambda = 0. Serial, so the result is the
+/// same at any thread count.
+std::vector<double> least_squares_multipliers(const Problem& problem, const std::vector<double>& x,
+                                              double held_tol);
 
 /// Solves `problem` starting from problem.start().
 SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptions& options = {});

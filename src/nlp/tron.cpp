@@ -130,8 +130,8 @@ TrustRegionResult minimize_bound_constrained(SmoothModel& model, std::vector<dou
       const double span = 1e-10 * (1.0 + std::abs(xi));
       free_var[i] = static_cast<char>(xi > lower[i] + span && xi < upper[i] - span);
     }
-    // r = -(g + H s) on the free set.
-    model.hess_vec(s, hv);
+    // r = -(g + H s) on the free set; hv still holds H s from the accepted
+    // Cauchy backtrack.
     double r0norm = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       r[i] = free_var[i] ? -(g[i] + hv[i]) : 0.0;

@@ -13,6 +13,7 @@
 #include "ssta/ssta.h"
 
 #include <cmath>
+#include <ostream>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -281,6 +282,12 @@ struct AdjointCase {
   int size;
   double sigma_weight;
 };
+
+// A stable case name ("dag 40 k=3"): gtest would otherwise print the raw
+// bytes of the struct, pointer included, so names changed between builds.
+void PrintTo(const AdjointCase& c, std::ostream* os) {
+  *os << c.kind << ' ' << c.size << " k=" << c.sigma_weight;
+}
 
 class AdjointGradient : public ::testing::TestWithParam<AdjointCase> {};
 

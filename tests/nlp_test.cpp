@@ -241,6 +241,51 @@ TEST(TrustRegion, StartsAtOptimum) {
   EXPECT_EQ(r.iterations, 1);
 }
 
+TEST(TrustRegion, NoHessianProductRepeatsTheOneBefore) {
+  // Counts Hessian-vector products and flags any whose vector equals the
+  // previous product's at the same gradient snapshot: such a call returns
+  // the H v the solver already holds. The accepted Cauchy backtrack's H s is
+  // reused as the CG start residual, so there must be none.
+  class Counting final : public SmoothModel {
+   public:
+    explicit Counting(int n) : inner_(n) {}
+    int num_vars() const override { return inner_.num_vars(); }
+    double eval(const std::vector<double>& x, std::vector<double>* grad) override {
+      if (grad != nullptr) last_v_.clear();
+      return inner_.eval(x, grad);
+    }
+    void hess_vec(const std::vector<double>& v, std::vector<double>& hv) const override {
+      ++products;
+      if (v == last_v_) ++repeats;
+      last_v_ = v;
+      inner_.hess_vec(v, hv);
+    }
+    mutable int products = 0;
+    mutable int repeats = 0;
+
+   private:
+    RosenbrockModel inner_;
+    mutable std::vector<double> last_v_;
+  };
+  // Bounds that hold some coordinates active at the solution, so Cauchy
+  // steps get projected.
+  Counting model(12);
+  std::vector<double> x(12, -1.0);
+  const std::vector<double> lo(12, -2.0);
+  std::vector<double> hi(12, kInfinity);
+  hi[3] = 0.5;
+  hi[7] = 0.25;
+  TrustRegionOptions opt;
+  opt.tol = 1e-8;
+  opt.max_iterations = 2000;
+  const TrustRegionResult r = minimize_bound_constrained(model, x, lo, hi, opt);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(x[3], 0.5);
+  EXPECT_EQ(model.repeats, 0) << model.products << " products in " << r.iterations
+                              << " iterations";
+  EXPECT_GT(model.products, r.iterations);
+}
+
 TEST(ProjectedGradientNorm, ZeroAtConstrainedStationaryPoint) {
   // x at lower bound with positive gradient: projection cannot move.
   EXPECT_DOUBLE_EQ(projected_gradient_norm({0.0}, {5.0}, {0.0}, {1.0}), 0.0);
@@ -432,6 +477,78 @@ TEST(AugLag, MultiplierEstimatesAreLagrangeMultipliers) {
   EXPECT_TRUE(r.ok());
   EXPECT_NEAR(r.x[0], 1.0, 1e-5);
   EXPECT_NEAR(r.multipliers[0], 2.0, 1e-3);
+}
+
+TEST(LeastSquaresMultipliers, RecoverTheMultipliersOfAnEqualityQp) {
+  // min 1/2 ||x - a||^2 s.t. C x = d, built around a chosen KKT pair
+  // (x*, lambda*): a = x* - C^T lambda*, d = C x*.
+  const std::vector<std::vector<double>> C = {{1.0, 2.0, 0.0, -1.0}, {0.0, 1.0, 3.0, 1.0}};
+  const std::vector<double> x_star = {0.5, -1.0, 2.0, 1.5};
+  const std::vector<double> lambda_star = {1.25, -0.75};
+  Problem p;
+  const ElementFunction* sq = p.own(std::make_unique<SquareElement>());
+  FunctionGroup obj;
+  for (int i = 0; i < 4; ++i) {
+    p.add_variable(-kInfinity, kInfinity, x_star[static_cast<std::size_t>(i)]);
+    double a = x_star[static_cast<std::size_t>(i)];
+    for (std::size_t j = 0; j < C.size(); ++j) a -= C[j][static_cast<std::size_t>(i)] * lambda_star[j];
+    obj.elements.push_back({sq, {i}, 0.5});
+    obj.linear.push_back({i, -a});
+  }
+  p.set_objective(std::move(obj));
+  for (const auto& row : C) {
+    FunctionGroup g;
+    for (int i = 0; i < 4; ++i) {
+      g.linear.push_back({i, row[static_cast<std::size_t>(i)]});
+      g.constant -= row[static_cast<std::size_t>(i)] * x_star[static_cast<std::size_t>(i)];
+    }
+    p.add_equality(std::move(g));
+  }
+
+  const std::vector<double> lambda = least_squares_multipliers(p, x_star, 1e-6);
+  ASSERT_EQ(lambda.size(), 2u);
+  EXPECT_NEAR(lambda[0], lambda_star[0], 1e-10);
+  EXPECT_NEAR(lambda[1], lambda_star[1], 1e-10);
+  EXPECT_THROW(least_squares_multipliers(p, {1.0, 2.0}, 1e-6), std::invalid_argument);
+}
+
+TEST(LeastSquaresMultipliers, OnlySlacksWithinHeldTolCountAsActive) {
+  // min (x-3)^2 + (y-3)^2 s.t. x <= 2, y <= 5 at its KKT point: x's slack is
+  // inside the held span (active, lambda = f'(x) = 2 (x - 3)), y's is 2 away
+  // (inactive: its free slack forces lambda = 0).
+  constexpr double kHeld = 1e-4;
+  Problem p;
+  const ElementFunction* sq = p.own(std::make_unique<SquareElement>());
+  const int x = p.add_variable(-kInfinity, kInfinity, 2.0 - 0.5 * kHeld);
+  const int y = p.add_variable(-kInfinity, kInfinity, 3.0);
+  FunctionGroup obj;
+  obj.constant = 18.0;
+  obj.linear = {{x, -6.0}, {y, -6.0}};
+  obj.elements = {{sq, {x}, 1.0}, {sq, {y}, 1.0}};
+  p.set_objective(std::move(obj));
+  FunctionGroup gx;
+  gx.linear = {{x, 1.0}};
+  p.add_inequality(std::move(gx), 2.0, 0.5 * kHeld);
+  FunctionGroup gy;
+  gy.linear = {{y, 1.0}};
+  p.add_inequality(std::move(gy), 5.0, 2.0);
+
+  const std::vector<double> lambda = least_squares_multipliers(p, p.start(), kHeld);
+  ASSERT_EQ(lambda.size(), 2u);
+  EXPECT_NEAR(lambda[0], 2.0 * (p.start()[0] - 3.0), 1e-10);
+  EXPECT_NEAR(lambda[1], 0.0, 1e-10);
+
+  // Started there with these multipliers, the augmented Lagrangian is done
+  // at once.
+  WarmStart warm;
+  warm.multipliers = lambda;
+  AugLagOptions opt;
+  opt.feasibility_tol = 1e-6;
+  opt.optimality_tol = kHeld;
+  const SolveResult r = solve_augmented_lagrangian(p, opt, warm);
+  EXPECT_EQ(r.status, SolveStatus::kConverged) << r.status_string();
+  EXPECT_EQ(r.outer_iterations, 1);
+  EXPECT_EQ(r.inner_iterations, 1);
 }
 
 TEST(AugLagWarmStart, EmptyWarmStartMatchesPlainOverloadBitwise) {

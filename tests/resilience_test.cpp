@@ -396,6 +396,9 @@ TEST(SizerResilience, FullSpaceNaNMidSolveReturnsCheckpointNotThrow) {
   const Sizer sizer(c, spec);
   SizerOptions o;
   o.method = Method::kFullSpace;
+  // The cold start: from the pre-solve's KKT point the augmented Lagrangian
+  // converges on its first evaluation, leaving no "mid-solve" to break.
+  o.warm_start_full_space = false;
 
   const SizingResult baseline = sizer.run(o);
   ASSERT_TRUE(baseline.converged) << baseline.status;
@@ -430,6 +433,37 @@ TEST(SizerResilience, FullSpaceNaNMidSolveReturnsCheckpointNotThrow) {
   EXPECT_GE(broken.checkpoint_outer, -1);
   EXPECT_NE(broken.breakdown_site.find("objective"), std::string::npos) << broken.breakdown_site;
   expect_speeds_in_bounds(broken, spec.max_speed);
+  EXPECT_TRUE(std::isfinite(broken.circuit_delay.mu));
+}
+
+TEST(SizerResilience, FullSpaceNaNAtFirstEvaluationKeepsThePresolveSizing) {
+  DisarmGuard cleanup;
+  const Circuit c = netlist::make_tree_circuit();
+  SizingSpec spec;
+  spec.objective = Objective::min_delay(0.0);
+  const Sizer sizer(c, spec);
+  SizerOptions o;
+  o.method = Method::kFullSpace;
+
+  const SizingResult baseline = sizer.run(o);
+  ASSERT_TRUE(baseline.converged) << baseline.status;
+
+  // The default path's one augmented-Lagrangian evaluation goes NaN: the
+  // solver degrades to its clamped start, which is the pre-solve's sizing.
+  SizingResult broken;
+  {
+    fault::ScopedFault first("auglag.eval.objective:1");
+    ASSERT_NO_THROW(broken = sizer.run(o));
+  }
+  EXPECT_FALSE(broken.converged);
+  EXPECT_NE(broken.status.find("numerical-breakdown"), std::string::npos) << broken.status;
+  EXPECT_TRUE(broken.from_checkpoint);
+  EXPECT_EQ(broken.checkpoint_outer, -1);
+  EXPECT_NE(broken.breakdown_site.find("objective"), std::string::npos) << broken.breakdown_site;
+  ASSERT_EQ(broken.speed.size(), baseline.speed.size());
+  for (std::size_t i = 0; i < baseline.speed.size(); ++i) {
+    EXPECT_EQ(broken.speed[i], baseline.speed[i]) << "node " << i;
+  }
   EXPECT_TRUE(std::isfinite(broken.circuit_delay.mu));
 }
 

@@ -228,6 +228,28 @@ TEST(SizerCrossMethod, FullAndReducedAgreeOnRandomDag) {
               2e-3 * (1.0 + rf.delay_metric(3.0)));
 }
 
+TEST(SizerCrossMethod, ColdFullSpaceNeverReportsConvergedOnAWorseOptimum) {
+  // From zero multipliers the cold augmented Lagrangian stagnates on this
+  // circuit with a projected gradient far above the tolerance and an
+  // objective ~10% worse than the reduced-space optimum. That is a stall,
+  // not "acceptable" (which counts as converged).
+  netlist::RandomDagParams p;
+  p.num_gates = 30;
+  p.seed = 6;
+  const Circuit c = netlist::make_random_dag(p);
+  SizingSpec spec;
+  spec.objective = Objective::min_delay(0.0);
+  SizerOptions cold = opts(Method::kFullSpace);
+  cold.warm_start_full_space = false;
+  const SizingResult rf = Sizer(c, spec).run(cold);
+  const SizingResult rr = Sizer(c, spec).run(opts(Method::kReducedSpace));
+  ASSERT_TRUE(rr.converged) << rr.status;
+  const bool at_optimum =
+      std::abs(rf.delay_metric(0.0) - rr.delay_metric(0.0)) <= 1e-3 * rr.delay_metric(0.0);
+  EXPECT_TRUE(!rf.converged || at_optimum)
+      << rf.status << ": mu " << rf.delay_metric(0.0) << " against " << rr.delay_metric(0.0);
+}
+
 TEST(SizerCrossMethod, NaryModeFindsTheSameOptimum) {
   netlist::RandomDagParams p;
   p.num_gates = 60;
@@ -427,6 +449,42 @@ TEST_P(SizerTable1Reduced, RowsConvergeWithFewTrialsPerIteration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LargeCircuits, SizerTable1Reduced, ::testing::Values("apex1", "k2"));
+
+// Table 1's full-space rows start from the reduced-space pre-solve with the
+// least-squares multipliers of that point, which certify it: every row
+// converges at once instead of leaving the start and walking back over
+// thousands of trust-region iterations.
+class SizerTable1Full : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SizerTable1Full, RowsConvergeAtThePresolvePoint) {
+  const Circuit c = netlist::make_mcnc_like(GetParam());
+  const double bound = tree_mid_mu(c, 0.45);
+  SizingSpec spec;
+  for (const bool constrained : {false, true}) {
+    for (const double k : {0.0, 1.0, 3.0}) {
+      if (constrained) {
+        spec.objective = Objective::min_area();
+        spec.delay_constraint = DelayConstraint::at_most(bound, k);
+      } else {
+        spec.objective = Objective::min_delay(k);
+        spec.delay_constraint.reset();
+      }
+      const std::string row = spec.objective.description() +
+                              (constrained ? " s.t. " + spec.delay_constraint->description() : "");
+      const SizingResult full = Sizer(c, spec).run(opts(Method::kFullSpace));
+      const SizingResult pre = Sizer(c, spec).run(opts(Method::kReducedSpace));
+      ASSERT_TRUE(full.converged) << row << ": " << full.status;
+      EXPECT_LE(full.outer_iterations, 2) << row;
+      EXPECT_LE(full.iterations, 5) << row;
+      EXPECT_GT(full.evaluations, 0) << row << ": the pre-solve's evaluations count";
+      const double f_full = constrained ? full.sum_speed : full.delay_metric(k);
+      const double f_pre = constrained ? pre.sum_speed : pre.delay_metric(k);
+      EXPECT_NEAR(f_full, f_pre, 1e-6 * f_pre) << row;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LargeCircuits, SizerTable1Full, ::testing::Values("apex2", "apex1"));
 
 }  // namespace
 }  // namespace statsize::core

@@ -7,6 +7,7 @@
 #include "ssta/monte_carlo.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -172,6 +173,10 @@ struct McCase {
   double mu_tol;     ///< relative tolerance on the mean
   double sigma_tol;  ///< relative tolerance on the standard deviation
 };
+
+// A stable case name ("dag 150"): gtest would otherwise print the raw bytes
+// of the struct, pointer included, so names changed between builds.
+void PrintTo(const McCase& c, std::ostream* os) { *os << c.kind << ' ' << c.size; }
 
 class SstaVsMonteCarlo : public ::testing::TestWithParam<McCase> {};
 
