@@ -42,8 +42,10 @@ inline MetricRange metric_range(const netlist::Circuit& c, const core::SizingSpe
 
 /// Method selection: STATSIZE_METHOD=full|reduced|auto (default auto: the
 /// paper's full-space formulation up to `full_space_limit` gates, the
-/// reduced-space adjoint mode beyond — full-space on thousand-gate circuits
-/// reproduces the paper's hours-scale LANCELOT times, see Table 1 CPU column).
+/// reduced-space adjoint mode beyond). Full-space runs start from the
+/// reduced-space presolve, so `full` on thousand-gate circuits takes
+/// fractions of a second per row, not the paper's hours; a cold start needs
+/// SizerOptions::warm_start_full_space = false, which no bench sets.
 inline core::Method select_method(const netlist::Circuit& c, int full_space_limit = 300) {
   const char* env = std::getenv("STATSIZE_METHOD");
   const std::string mode = env != nullptr ? env : "auto";

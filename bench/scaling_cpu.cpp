@@ -3,30 +3,25 @@
 //
 //   1. Circuit-size sweep: solves min-mu sizing at increasing gate counts and
 //      reports wall time for both methods (the full-space NLP is capped at
-//      300 gates by default; STATSIZE_METHOD=full lifts that to reproduce the
-//      paper's hours-scale behaviour).
+//      300 gates by default; STATSIZE_METHOD=full lifts the cap).
 //   2. Thread-scaling sweep: Monte Carlo on the largest DAG across --jobs
 //      1/2/4/hw, then the k2 reduced-space min sum(S) s.t. mu <= D row at 1
 //      and at hardware threads. SSTA (serial at every --jobs) and the sized
 //      speed vectors must be bit-identical to the 1-thread results (DESIGN.md
 //      §7); the sizing row also checks the rule that the default thread
 //      count is never slower than --jobs 1.
-//   3. hess_vec sweep: AugLagModel::hess_vec on a k2-scale DAG across the
-//      same thread counts — parallel via ScatterPlan with the same
-//      exact-equality determinism contract.
-//   4. TimingView sweep: the historical per-Node pointer walk vs the flat CSR
+//   3. TimingView sweep: the historical per-Node pointer walk vs the flat CSR
 //      view path (DESIGN.md §8) for delay evaluation, SSTA, and corner STA at
 //      one thread — a pure memory-layout comparison whose results must be
 //      bit-identical (the view copies the same doubles and keeps every fold
 //      order), so any mismatch hard-fails the benchmark.
 //
 // Machine-readable results go to BENCH_scaling.json via bench::JsonArtifact.
-// STATSIZE_SCALING_SECTIONS=sizing,threads,serial_islands,timing_view
+// STATSIZE_SCALING_SECTIONS=sizing,threads,timing_view
 // (comma-separated) restricts the run to the named sections; unset runs all.
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -34,10 +29,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/full_space.h"
 #include "core/sizer.h"
 #include "netlist/generators.h"
-#include "nlp/auglag.h"
 #include "runtime/runtime.h"
 #include "ssta/monte_carlo.h"
 #include "ssta/ssta.h"
@@ -76,7 +69,7 @@ bool reports_equal(const ssta::TimingReport& a, const ssta::TimingReport& b) {
   return a.circuit_delay.mu == b.circuit_delay.mu && a.circuit_delay.var == b.circuit_delay.var;
 }
 
-/// Section filter: STATSIZE_SCALING_SECTIONS=threads,serial_islands runs only
+/// Section filter: STATSIZE_SCALING_SECTIONS=threads,timing_view runs only
 /// those sections (comma-separated; unset/empty = all). Lets the check.sh
 /// scaling smoke gate exercise the bit-identity cross-checks without paying
 /// for the sizing solves.
@@ -248,72 +241,9 @@ int main() {
   }
   }  // section "threads"
 
-  // ---- hess_vec scaling on a k2-scale circuit (the larger Table 1
-  // benchmarks run ~1700 gates). The circuit itself is shared with the
-  // timing_view section.
+  // Shared by the timing_view section below, on a k2-scale circuit (the
+  // larger Table 1 benchmarks run ~1700 gates).
   const netlist::Circuit k2 = scaling_dag(1692);
-
-  if (section_enabled("serial_islands")) {
-  std::printf("\n--- hess_vec scaling (%d-gate DAG) ---\n", k2.num_gates());
-  std::printf("%8s | %12s %8s | %s\n", "threads", "hessvec ms", "speedup", "deterministic");
-
-  core::SizingSpec island_spec;
-  island_spec.objective = core::Objective::min_delay(0.0);
-  const std::vector<double> ones(static_cast<std::size_t>(k2.num_nodes()), 1.0);
-  const core::FullSpaceFormulation form = core::build_full_space(k2, island_spec, ones);
-  const nlp::Problem& prob = *form.problem;
-  const std::vector<double> mult(static_cast<std::size_t>(prob.num_constraints()), 0.25);
-  const std::vector<double> x = prob.start();
-  std::vector<double> v(static_cast<std::size_t>(prob.num_vars()));
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = std::sin(0.37 * static_cast<double>(i)) + 0.1;
-  }
-
-  runtime::set_threads(1);
-  nlp::AugLagModel model(prob, mult, 10.0);
-  std::vector<double> scratch_grad;
-  model.eval(x, &scratch_grad);  // snapshot the element Hessians at x
-  std::vector<double> hv_ref;
-  model.hess_vec(v, hv_ref);
-
-  double hv_ms1 = 0.0;
-  double hv_ms4 = 0.0;
-  for (const int t : thread_counts) {
-    runtime::set_threads(t);
-    std::vector<double> hv;
-    model.hess_vec(v, hv);
-    const bool det = hv == hv_ref;
-    if (!det) {
-      std::printf("  [FAIL] hess_vec at %d threads differs from 1-thread reference\n", t);
-      ++failures;
-    }
-    std::vector<double> hv_scratch;
-    const double hv_ms = wall_ms([&] { model.hess_vec(v, hv_scratch); }, 5);
-    if (t == 1) hv_ms1 = hv_ms;
-    if (t == 4) hv_ms4 = hv_ms;
-    std::printf("%8d | %12.3f %7.2fx | %s\n", t, hv_ms, hv_ms1 / hv_ms, det ? "yes" : "NO");
-    artifact.add_row()
-        .field("section", "serial_islands")
-        .field("gates", k2.num_gates())
-        .field("threads", t)
-        .field("hess_vec_wall_ms", hv_ms)
-        .field("hess_vec_speedup", hv_ms > 0.0 ? hv_ms1 / hv_ms : 0.0)
-        .field("deterministic", det ? "yes" : "no");
-  }
-  runtime::set_threads(1);
-
-  // Advisory like the Monte Carlo check above: demand >1.5x at 4 threads
-  // only where the hardware can actually show it.
-  if (hw >= 4) {
-    if (hv_ms4 > 0.0 && hv_ms1 / hv_ms4 < 1.5) {
-      std::printf("  [WARN] hess_vec speedup below 1.5x at 4 threads on this machine\n");
-    }
-  } else {
-    std::printf("  [note] only %d hardware thread(s): speedup cannot be demonstrated here\n", hw);
-  }
-  }  // section "serial_islands"
-
-  // Shared by the timing_view section below.
   const ssta::SigmaModel sm{};
   const ssta::DelayCalculator k2_calc(k2, sm);
   std::vector<double> sp(static_cast<std::size_t>(k2.num_nodes()));

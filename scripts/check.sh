@@ -35,10 +35,10 @@ if [ "$SANITIZE" = "thread" ]; then
   # more threads than the (possibly single-core) host advertises, so races
   # are exposed even where hardware_concurrency() == 1 would otherwise keep
   # every code path serial. Suites are selected by label (the executable
-  # name, see tests/CMakeLists.txt): the runtime itself, SSTA/Monte Carlo,
-  # the nlp + core suites whose element evaluation and hess_vec fan out over
-  # the pool (hess_vec through ScatterPlan folds), and the TimingView suite
-  # every sweep traverses. The resilience suite rides along: cancellation polls and fault
+  # name, see tests/CMakeLists.txt): the runtime itself, SSTA/Monte Carlo
+  # (the one pool client), the nlp + core suites (serial now; kept so a pool
+  # region that creeps back into a solver runs under TSan), and the
+  # TimingView suite every sweep traverses. The resilience suite rides along: cancellation polls and fault
   # hit-counting run on pool worker threads, so their synchronization is part
   # of the concurrency surface. The serve suite joins them: its live-loopback
   # tests cross socket threads, the scheduler's executor, and the circuit

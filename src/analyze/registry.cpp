@@ -32,9 +32,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"DET002", "determinism", Severity::kError, "wall-clock-or-rand",
        "rand()/srand()/time()/clock()/random_device (or hashing a pointer) injects run-to-run "
        "nondeterminism into a hot path"},
-      {"DET003", "determinism", Severity::kError, "non-plan-scatter",
+      {"DET003", "determinism", Severity::kError, "shared-slot-scatter",
        "an indirect-indexed accumulation inside a parallel_for body scatters to shared slots; "
-       "route it through a runtime::ScatterPlan (disjoint slots + ordered fold)"},
+       "write index-keyed slots and fold them in index order on the calling thread"},
       {"DET004", "determinism", Severity::kError, "missing-poll-cancel",
        "a solver iteration loop has no runtime::poll_cancel() checkpoint, so deadlines and "
        "cancellation cannot stop it (DESIGN.md §9)"},

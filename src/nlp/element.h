@@ -24,7 +24,8 @@ inline constexpr int kMaxElementArity = 16;
 
 /// A smooth function of a small number of "local" variables with analytic
 /// gradient and (packed upper-triangle, row-major) Hessian. Implementations
-/// must be stateless with respect to eval (callable concurrently).
+/// must be stateless with respect to eval: one instance serves every
+/// ElementRef that points at it.
 class ElementFunction {
  public:
   virtual ~ElementFunction() = default;

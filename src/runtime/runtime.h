@@ -1,8 +1,8 @@
 // Process-global execution runtime: one shared ThreadPool plus the
-// deterministic parallel_for. The work that pays for the pool (Monte Carlo
-// trial chunks, NLP element/constraint evaluation, the full-space hess_vec)
-// funnels through this header so a single knob controls parallelism
-// everywhere (timing sweeps are serial; DESIGN.md §7):
+// deterministic parallel_for. The one workload that pays for the pool,
+// Monte Carlo trial chunks, funnels through this header, so a single knob
+// controls parallelism (timing sweeps and the NLP layer are serial;
+// DESIGN.md §7):
 //
 //   * runtime::set_threads(n)      — programmatic (CLI --jobs)
 //   * STATSIZE_JOBS=<n>            — environment default

@@ -5,8 +5,9 @@
 //     participant and all outputs go to disjoint slots chosen by index, so a
 //     result never depends on which worker ran which chunk. Reductions are
 //     NOT performed here — callers combine overlapping contributions in a
-//     fixed order (e.g. runtime::ScatterPlan), which is what makes parallel
-//     results bit-identical at any thread count.
+//     fixed order on the calling thread (Monte Carlo folds its per-chunk
+//     moments in chunk order), which is what makes parallel results
+//     bit-identical at any thread count.
 //   * Cheap dispatch. Workers are persistent and park on an epoch counter
 //     (a sense-reversing barrier generalized to a 64-bit epoch). Publishing
 //     a parallel region is: write the region descriptor, bump the epoch,

@@ -20,7 +20,6 @@
 #include "nlp/auglag.h"
 #include "nlp/problem.h"
 #include "runtime/runtime.h"
-#include "runtime/scatter_plan.h"
 #include "runtime/thread_pool.h"
 #include "ssta/delay_model.h"
 #include "ssta/monte_carlo.h"
@@ -242,7 +241,7 @@ TEST(Determinism, MonteCarloMomentsExactlyEqualAcrossThreadCounts) {
 
 TEST(Determinism, FunctionGroupEvalAndGradBitwiseEqualAcrossThreadCounts) {
   ThreadGuard guard;
-  // Big enough to cross the parallel-element threshold.
+  // 1000 elements over 200 variables: the thread count must change nothing.
   nlp::Problem p;
   const int nvars = 200;
   for (int i = 0; i < nvars; ++i) p.add_variable(0.1, 10.0, 1.0 + 0.01 * i);
@@ -330,7 +329,7 @@ TEST(Determinism, ReducedSpaceGradientBitwiseEqualAcrossThreadCounts) {
 
 TEST(Determinism, KernelsBitwiseEqualAcrossThreads) {
   // The full acceptance matrix: --jobs {1,2,4} for every kernel, parallel
-  // (Monte Carlo, hess_vec) or serial at any thread count (SSTA, the
+  // (Monte Carlo) or serial at any thread count (SSTA, hess_vec, the
   // reduced-space adjoint) — all bit-identical to the 1-thread reference.
   ThreadGuard guard;
   const netlist::Circuit c = medium_dag(300);
@@ -398,62 +397,7 @@ TEST(Determinism, KernelsBitwiseEqualAcrossThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// ScatterPlan
-// ---------------------------------------------------------------------------
-
-TEST(ScatterPlan, FoldAddEqualsSerialScatterInItemOrder) {
-  // Overlapping targets, duplicates inside one item, and an untouched target.
-  // The fold must produce exactly the doubles the serial scatter produces,
-  // because per-target slot order is the serial write order.
-  runtime::ScatterPlan plan;
-  const std::vector<std::vector<int>> items = {
-      {3, 1, 3, 0}, {1, 2}, {0, 0, 4}, {2, 3, 1}, {}};
-  std::vector<std::size_t> first;
-  for (const auto& it : items) first.push_back(plan.add_item(it.data(), it.size()));
-  plan.freeze(6);
-  EXPECT_TRUE(plan.frozen());
-  EXPECT_EQ(plan.num_slots(), 12u);
-  EXPECT_EQ(plan.num_targets(), 6u);
-
-  std::vector<double> vals(plan.num_slots());
-  for (std::size_t s = 0; s < vals.size(); ++s) vals[s] = 0.1 + 1.7 * static_cast<double>(s);
-
-  std::vector<double> want(6, 0.25);  // fold adds on top of existing content
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    for (std::size_t j = 0; j < items[k].size(); ++j) {
-      want[static_cast<std::size_t>(items[k][j])] += vals[first[k] + j];
-    }
-  }
-
-  for (int threads : {1, 4}) {
-    ThreadGuard guard;
-    runtime::set_threads(threads);
-    std::vector<double> out(6, 0.25);
-    plan.fold_add(vals.data(), out.data(), /*grain=*/2);
-    EXPECT_EQ(out, want);
-  }
-  EXPECT_EQ(want[5], 0.25);  // target 5 has no slots — untouched
-}
-
-TEST(ScatterPlan, RejectsMisuse) {
-  runtime::ScatterPlan plan;
-  const int targets[2] = {0, 1};
-  plan.add_item(targets, 2);
-  std::vector<double> vals(2, 0.0);
-  std::vector<double> out(2, 0.0);
-  EXPECT_THROW(plan.fold_add(vals.data(), out.data()), std::logic_error);
-  plan.freeze(2);
-  EXPECT_THROW(plan.add_item(targets, 2), std::logic_error);
-  EXPECT_THROW(plan.freeze(2), std::logic_error);
-
-  runtime::ScatterPlan bad;
-  const int oob[1] = {7};
-  bad.add_item(oob, 1);
-  EXPECT_THROW(bad.freeze(4), std::out_of_range);
-}
-
-// ---------------------------------------------------------------------------
-// Hessian-vector products (the former serial islands)
+// Hessian-vector products
 // ---------------------------------------------------------------------------
 
 TEST(Determinism, AugLagHessVecBitwiseEqualAcrossThreadCounts) {
@@ -490,7 +434,7 @@ TEST(Determinism, AugLagHessVecBitwiseEqualAcrossThreadCounts) {
 
 TEST(AugLagHessVec, MatchesFiniteDifferenceOfGradientAtAnyThreadCount) {
   // v^T H v column check on a Table-1 sized sizing problem: hess_vec must
-  // match (grad(x + h v) - grad(x - h v)) / 2h in serial and parallel modes.
+  // match (grad(x + h v) - grad(x - h v)) / 2h at 1 and 4 threads.
   const netlist::Circuit c = medium_dag();
   core::SizingSpec spec;
   spec.objective = core::Objective::min_delay(0.0);

@@ -5,11 +5,14 @@
 #include "core/sizer.h"
 
 #include "netlist/generators.h"
+#include "runtime/fault.h"
+#include "runtime/runtime.h"
 #include "ssta/monte_carlo.h"
 #include "ssta/ssta.h"
 
 #include <cmath>
 #include <map>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -485,6 +488,102 @@ TEST_P(SizerTable1Full, RowsConvergeAtThePresolvePoint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LargeCircuits, SizerTable1Full, ::testing::Values("apex2", "apex1"));
+
+
+// The NLP layer runs serially: no sizing solve opens a thread-pool region,
+// so only Monte Carlo pays the pool's dispatch and wake-up cost. Arming
+// pool.chunk at a hit it never reaches turns the site into a counter of
+// pool chunks run, and a solve at 4 threads must count none while returning
+// exactly the 1-thread result.
+struct NoPoolCase {
+  const char* name;
+  const char* circuit;
+  Method method;
+  bool constrained;  ///< min sum(S) s.t. mu + k sigma <= D, else min mu + k sigma
+  double k;
+  bool resize;       ///< re-solve from the result's warm state with D 2% tighter
+};
+
+void PrintTo(const NoPoolCase& c, std::ostream* os) { *os << c.name; }
+
+SizingResult run_no_pool_case(const NoPoolCase& nc) {
+  const Circuit c = netlist::make_mcnc_like(nc.circuit);
+  const double bound = tree_mid_mu(c, 0.45);
+  SizingSpec spec;
+  if (nc.constrained) {
+    spec.objective = Objective::min_area();
+    spec.delay_constraint = DelayConstraint::at_most(bound, nc.k);
+  } else {
+    spec.objective = Objective::min_delay(nc.k);
+  }
+  const SizingResult r = Sizer(c, spec).run(opts(nc.method));
+  if (!nc.resize) return r;
+  spec.delay_constraint = DelayConstraint::at_most(0.98 * bound, nc.k);
+  return Sizer(c, spec).resize(opts(nc.method), r.warm);
+}
+
+class NoPoolRegion : public ::testing::TestWithParam<NoPoolCase> {
+ protected:
+  void TearDown() override { runtime::set_threads(saved_threads_); }
+
+ private:
+  int saved_threads_ = runtime::threads();
+};
+
+TEST_P(NoPoolRegion, SolveOpensNoPoolRegionAndMatchesOneThread) {
+  const NoPoolCase& nc = GetParam();
+  runtime::set_threads(1);
+  const SizingResult ref = run_no_pool_case(nc);
+  ASSERT_TRUE(ref.converged) << ref.status;
+
+  runtime::set_threads(4);
+  SizingResult r;
+  long chunks = 0;
+  {
+    runtime::fault::ScopedFault counter("pool.chunk:1000000000");
+    r = run_no_pool_case(nc);
+    chunks = runtime::fault::hits_observed(runtime::fault::kPoolChunk);
+  }
+  EXPECT_EQ(chunks, 0) << "the solve ran pool chunks";
+  EXPECT_EQ(r.status, ref.status);
+  EXPECT_EQ(r.objective_value, ref.objective_value);
+  EXPECT_EQ(r.iterations, ref.iterations);
+  EXPECT_EQ(r.speed, ref.speed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Solves, NoPoolRegion,
+    ::testing::Values(
+        NoPoolCase{"apex2_full_min_mu", "apex2", Method::kFullSpace, false, 0.0, false},
+        NoPoolCase{"apex2_full_min_mu_1sigma", "apex2", Method::kFullSpace, false, 1.0, false},
+        NoPoolCase{"apex2_full_min_mu_3sigma", "apex2", Method::kFullSpace, false, 3.0, false},
+        NoPoolCase{"apex2_full_area_st_mu", "apex2", Method::kFullSpace, true, 0.0, false},
+        NoPoolCase{"apex2_full_area_st_mu_1sigma", "apex2", Method::kFullSpace, true, 1.0, false},
+        NoPoolCase{"apex2_full_area_st_mu_3sigma", "apex2", Method::kFullSpace, true, 3.0, false},
+        NoPoolCase{"k2_full_min_mu_3sigma", "k2", Method::kFullSpace, false, 3.0, false},
+        NoPoolCase{"k2_reduced_area_st_mu", "k2", Method::kReducedSpace, true, 0.0, false},
+        NoPoolCase{"apex2_full_resize_area_st_mu", "apex2", Method::kFullSpace, true, 0.0, true}),
+    [](const ::testing::TestParamInfo<NoPoolCase>& info) { return std::string(info.param.name); });
+
+// Positive control for the counter above: Monte Carlo, the pool's one
+// client, runs its trial chunks there at 4 threads.
+TEST(NoPoolRegionControl, MonteCarloRunsPoolChunks) {
+  const int saved = runtime::threads();
+  const Circuit c = netlist::make_mcnc_like("apex2");
+  const ssta::DelayCalculator calc(c, SizingSpec{}.sigma_model);
+  const std::vector<double> s(static_cast<std::size_t>(c.num_nodes()), 1.0);
+  ssta::MonteCarloOptions mc;
+  mc.num_samples = 2000;
+  runtime::set_threads(4);
+  long chunks = 0;
+  {
+    runtime::fault::ScopedFault counter("pool.chunk:1000000000");
+    ssta::run_monte_carlo(c, calc.all_delays(s), mc);
+    chunks = runtime::fault::hits_observed(runtime::fault::kPoolChunk);
+  }
+  runtime::set_threads(saved);
+  EXPECT_GT(chunks, 0);
+}
 
 }  // namespace
 }  // namespace statsize::core
