@@ -14,6 +14,7 @@
 #include "ssta/monte_carlo.h"
 #include "ssta/ssta.h"
 #include "stat/clark.h"
+#include "stat/random.h"
 
 namespace {
 
@@ -71,6 +72,36 @@ void BM_ClarkMaxFull(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClarkMaxFull);
+
+// The normal draws of one k2 Monte Carlo run at 2000 samples: 1690 gates x
+// 2000 trials. NormalStream is what run_monte_carlo draws from; the
+// <random> pair is what it drew from before.
+constexpr int kMcDraws = 3380000;
+
+void BM_NormalDrawsNormalStream(benchmark::State& state) {
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    stat::NormalStream normal(seed++);
+    double sum = 0.0;
+    for (int k = 0; k < kMcDraws; ++k) sum += normal();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kMcDraws);
+}
+BENCHMARK(BM_NormalDrawsNormalStream)->Unit(benchmark::kMillisecond);
+
+void BM_NormalDrawsStdNormalDistribution(benchmark::State& state) {
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    std::mt19937_64 rng(seed++);
+    std::normal_distribution<double> unit(0.0, 1.0);
+    double sum = 0.0;
+    for (int k = 0; k < kMcDraws; ++k) sum += unit(rng);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kMcDraws);
+}
+BENCHMARK(BM_NormalDrawsStdNormalDistribution)->Unit(benchmark::kMillisecond);
 
 void BM_SstaSweep(benchmark::State& state) {
   netlist::RandomDagParams p;

@@ -1,7 +1,6 @@
 #include "analyze/model_audit.h"
 
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -9,6 +8,7 @@
 #include "nlp/derivative_check.h"
 #include "ssta/delay_model.h"
 #include "stat/clark.h"
+#include "stat/random.h"
 
 namespace statsize::analyze {
 
@@ -23,24 +23,6 @@ std::string fmt(double v) {
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return buf;
 }
-
-/// SplitMix64 — small deterministic generator for audit points (independent
-/// of libstdc++ distribution internals, so findings are reproducible).
-class Rng {
- public:
-  explicit Rng(unsigned seed) : state_(0x9e3779b97f4a7c15ull ^ seed) {}
-  double uniform01() {
-    state_ += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return static_cast<double>(z >> 11) * 0x1.0p-53;
-  }
-
- private:
-  std::uint64_t state_;
-};
 
 }  // namespace
 
@@ -130,7 +112,9 @@ Report audit_clark_degeneracy(const netlist::Circuit& circuit, const ssta::Sigma
 Report audit_problem_derivatives(const nlp::Problem& problem, std::string_view what, int points,
                                  unsigned seed, double tol) {
   Report report;
-  Rng rng(seed);
+  // Seeded SplitMix64, independent of libstdc++ distribution internals, so
+  // findings are reproducible.
+  stat::SplitMix64 rng(stat::SplitMix64::kGamma ^ seed);
   const std::string locus = "formulation [" + std::string(what) + "]";
   for (int sample = 0; sample <= points; ++sample) {
     std::vector<double> x = problem.start();

@@ -10,28 +10,14 @@ namespace statsize::serve {
 
 namespace {
 
-/// SplitMix64 — the house deterministic generator (same idiom as the Monte
-/// Carlo sampler). Never rand()/random_device: backoff jitter must be
-/// reproducible from jitter_seed alone (detlint DET002).
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-/// Uniform in [0, 1) from the top 53 bits.
-double uniform01(std::uint64_t& state) {
-  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
-}
-
-double jittered_delay_ms(const ClientOptions& options, int attempt, std::uint64_t& state) {
+/// Jitter comes from stat::SplitMix64, never rand()/random_device: backoff
+/// must be reproducible from jitter_seed alone (detlint DET002).
+double jittered_delay_ms(const ClientOptions& options, int attempt, stat::SplitMix64& jitter) {
   double base = options.backoff_ms * std::ldexp(1.0, attempt);  // backoff * 2^attempt
   if (base > options.backoff_cap_ms) base = options.backoff_cap_ms;
   // Jitter in [0.5, 1.0): decorrelates a client fleet without ever shrinking
   // the delay below half the deterministic envelope.
-  return base * (0.5 + 0.5 * uniform01(state));
+  return base * (0.5 + 0.5 * jitter.uniform01());
 }
 
 /// Parses a Retry-After header (delta-seconds form only); <0 when absent or
@@ -56,19 +42,15 @@ void Client::ensure_connected() {
 }
 
 double Client::next_backoff_ms(int attempt) {
-  if (!jitter_seeded_) {
-    jitter_state_ = options_.jitter_seed;
-    jitter_seeded_ = true;
-  }
-  return jittered_delay_ms(options_, attempt, jitter_state_);
+  return jittered_delay_ms(options_, attempt, jitter_);
 }
 
 std::vector<double> Client::backoff_schedule(const ClientOptions& options, int count) {
   std::vector<double> delays;
   delays.reserve(static_cast<std::size_t>(count < 0 ? 0 : count));
-  std::uint64_t state = options.jitter_seed;
+  stat::SplitMix64 jitter(options.jitter_seed);
   for (int attempt = 0; attempt < count; ++attempt) {
-    delays.push_back(jittered_delay_ms(options, attempt, state));
+    delays.push_back(jittered_delay_ms(options, attempt, jitter));
   }
   return delays;
 }

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "serve/http.h"
+#include "stat/random.h"
 #include "util/json.h"
 
 namespace statsize::serve {
@@ -54,7 +55,7 @@ class Client {
  public:
   /// Lazy: connects on the first request.
   Client(std::string host, int port, ClientOptions options = {})
-      : host_(std::move(host)), port_(port), options_(options) {}
+      : host_(std::move(host)), port_(port), options_(options), jitter_(options.jitter_seed) {}
 
   /// One logical exchange, retried per ClientOptions. Throws
   /// std::runtime_error when transport keeps failing after every retry;
@@ -102,8 +103,7 @@ class Client {
   std::string host_;
   int port_;
   ClientOptions options_;
-  std::uint64_t jitter_state_ = 0;
-  bool jitter_seeded_ = false;
+  stat::SplitMix64 jitter_;
   long retries_used_ = 0;
   std::optional<HttpConnection> conn_;
 };

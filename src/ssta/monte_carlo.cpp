@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <mutex>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "netlist/timing_view.h"
 #include "runtime/runtime.h"
+#include "stat/random.h"
 
 namespace statsize::ssta {
 
@@ -40,21 +39,13 @@ double MonteCarloResult::yield(double deadline) const {
 
 namespace {
 
-/// Samples are drawn in fixed chunks of kChunkSamples trials; chunk i uses
-/// its own RNG stream seeded from (seed, i). The chunk partition depends only
-/// on the sample count, chunks write to disjoint sample slots, and per-chunk
-/// moment partials are combined in chunk order on one thread — so every
-/// number out of this engine is bit-identical at any thread count (and
-/// independent of which worker ran which chunk).
+/// Samples are drawn in fixed chunks of kChunkSamples trials; chunk i draws
+/// from its own stat::NormalStream seeded with stat::stream_seed(seed, i). The
+/// chunk partition depends only on the sample count, chunks write to disjoint
+/// sample slots, and per-chunk moment partials are combined in chunk order on
+/// one thread — so every number out of this engine is bit-identical at any
+/// thread count (and independent of which worker ran which chunk).
 constexpr int kChunkSamples = 256;
-
-/// splitmix64 over (seed, stream): decorrelated, cheap per-chunk streams.
-std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (stream + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 /// A sample count must be a usable trial count before any sizing math runs
 /// on it: zero reaches samples.front()/.back() on an empty vector and a
@@ -69,7 +60,7 @@ void validate_num_samples(const MonteCarloOptions& options, const char* fn) {
 }
 
 /// Per-trial delay parameters, hoisted out of the trial loop: NormalRV
-/// stores variance, so the naive `d.sigma() * unit(rng)` pays a sqrt per
+/// stores variance, so the naive `d.sigma() * normal()` pays a sqrt per
 /// gate per trial — ~32M sqrts on the 1600-gate/20k-trial bench row.
 /// Sampling `mu[id] + sigma[id] * u` below is the same arithmetic on the
 /// same values in the same order, hence bit-identical.
@@ -138,8 +129,7 @@ double propagate_once(const netlist::TimingView& view, SampleFn&& sample_delay,
 template <class OnTrial>
 void run_chunk(const netlist::TimingView& view, const DelayParams& params,
                const MonteCarloOptions& options, std::size_t chunk, OnTrial&& on_trial) {
-  std::mt19937_64 rng(stream_seed(options.seed, chunk));
-  std::normal_distribution<double> unit(0.0, 1.0);
+  stat::NormalStream normal(stat::stream_seed(options.seed, chunk));
   t_scratch.bind(view);
   std::vector<double>& arrival = t_scratch.arrival;
   const int first = static_cast<int>(chunk) * kChunkSamples;
@@ -147,7 +137,7 @@ void run_chunk(const netlist::TimingView& view, const DelayParams& params,
   for (int trial = first; trial < last; ++trial) {
     auto sample_delay = [&](NodeId id) {
       double t = params.mu[static_cast<std::size_t>(id)] +
-                 params.sigma[static_cast<std::size_t>(id)] * unit(rng);
+                 params.sigma[static_cast<std::size_t>(id)] * normal();
       if (options.truncate_negative_delays && t < 0.0) t = 0.0;
       return t;
     };
@@ -164,11 +154,39 @@ std::size_t num_chunks(const MonteCarloOptions& options) {
 /// Per-chunk moment partials on their own cache line: adjacent chunks are
 /// claimed by different workers, and packing the partials into plain double
 /// arrays made every store a false-sharing miss on the 64-byte line shared
-/// with ~7 neighbors.
+/// with ~7 neighbors. The partials are centred — a mean and the sum of
+/// squared deviations from it (M2) — because the raw form
+/// sqrt(sum2 / n - mean^2) cancels: at mean 1e4 and sigma 1e-5 the two terms
+/// agree in every bit a double holds and the difference is exactly 0.
 struct alignas(64) ChunkMoments {
-  double sum = 0.0;
-  double sum2 = 0.0;
+  double n = 0.0;
+  double mean = 0.0;
+  double m2 = 0.0;
 };
+
+/// Two passes over one chunk's samples: the mean, then M2 about it.
+ChunkMoments chunk_moments(const double* x, std::size_t count) {
+  ChunkMoments m;
+  m.n = static_cast<double>(count);
+  double sum = 0.0;
+  for (std::size_t k = 0; k < count; ++k) sum += x[k];
+  m.mean = sum / m.n;
+  for (std::size_t k = 0; k < count; ++k) {
+    const double d = x[k] - m.mean;
+    m.m2 += d * d;
+  }
+  return m;
+}
+
+/// Folds partial b into a (Chan, Golub and LeVeque 1979): exact for the
+/// union's mean and M2, with no difference of large squares.
+void merge_moments(ChunkMoments& a, const ChunkMoments& b) {
+  const double n = a.n + b.n;
+  const double delta = b.mean - a.mean;
+  a.mean += delta * (b.n / n);
+  a.m2 += b.m2 + delta * delta * (a.n * b.n / n);
+  a.n = n;
+}
 
 }  // namespace
 
@@ -193,30 +211,22 @@ MonteCarloResult run_monte_carlo(const netlist::TimingView& view,
 
   runtime::parallel_for(chunks, 1, [&](std::size_t cb, std::size_t ce) {
     for (std::size_t c = cb; c < ce; ++c) {
-      double sum = 0.0;
-      double sum2 = 0.0;
       run_chunk(view, params, options, c,
                 [&](int trial, double total, NodeId, const std::vector<double>&) {
                   result.samples[static_cast<std::size_t>(trial)] = total;
-                  sum += total;
-                  sum2 += total * total;
                 });
-      moments[c].sum = sum;
-      moments[c].sum2 = sum2;
+      const std::size_t first = c * kChunkSamples;
+      const std::size_t count = std::min<std::size_t>(kChunkSamples, result.samples.size() - first);
+      moments[c] = chunk_moments(result.samples.data() + first, count);
     }
   });
 
   // Ordered combine: moments fold over chunks in index order.
-  double sum = 0.0;
-  double sum2 = 0.0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    sum += moments[c].sum;
-    sum2 += moments[c].sum2;
-  }
+  ChunkMoments total = moments[0];
+  for (std::size_t c = 1; c < chunks; ++c) merge_moments(total, moments[c]);
   std::sort(result.samples.begin(), result.samples.end());
-  const double n = static_cast<double>(options.num_samples);
-  result.mean = sum / n;
-  result.stddev = std::sqrt(std::max(0.0, sum2 / n - result.mean * result.mean));
+  result.mean = total.mean;
+  result.stddev = std::sqrt(total.m2 / total.n);
   result.min = result.samples.front();
   result.max = result.samples.back();
   return result;

@@ -35,9 +35,11 @@ struct MonteCarloResult {
 struct MonteCarloOptions {
   int num_samples = 10000;
   /// Base seed. Trials are drawn in fixed chunks of 256, chunk i from its
-  /// own splitmix64-derived stream (seed, i); chunks are sharded across the
-  /// runtime's thread pool and recombined in chunk order, so every result —
-  /// samples, moments, criticality — is bit-identical at any --jobs count.
+  /// own stat::NormalStream(stat::stream_seed(seed, i)) — SplitMix64 and a
+  /// Ziggurat, no <random> distribution — one draw per gate in
+  /// gates_in_topo_order(); chunks are sharded across the runtime's thread
+  /// pool and recombined in chunk order, so every result — samples, moments,
+  /// criticality — is bit-identical at any --jobs count and toolchain.
   std::uint64_t seed = 1;
   bool truncate_negative_delays = true;  ///< clamp sampled gate delays at 0
 };

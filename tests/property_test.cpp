@@ -16,6 +16,7 @@
 #include "ssta/monte_carlo.h"
 #include "ssta/ssta.h"
 #include "stat/clark.h"
+#include "stat/random.h"
 
 namespace statsize {
 namespace {
@@ -244,34 +245,25 @@ std::vector<double> ref_sta_worst(const Circuit& c, const std::vector<NormalRV>&
 }
 
 /// Reference Monte Carlo: replicates the engine's published chunked-stream
-/// determinism contract (256-trial chunks, splitmix64 per-chunk streams, one
-/// normal draw per non-input node in topological order, chunk-ordered moment
-/// combine) with a per-trial Node walk.
+/// determinism contract (256-trial chunks, chunk i drawing from
+/// stat::NormalStream(stat::stream_seed(seed, i)), one normal draw per
+/// non-input node in topological order, centred per-chunk moments combined in
+/// chunk order) with a per-trial Node walk.
 std::vector<double> ref_monte_carlo(const Circuit& c, const std::vector<NormalRV>& delays,
                                     const ssta::MonteCarloOptions& opt, double* mean,
                                     double* stddev) {
   constexpr int kChunkSamples = 256;
-  auto stream_seed = [](std::uint64_t seed, std::uint64_t stream) {
-    std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (stream + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-  };
   std::vector<double> samples(static_cast<std::size_t>(opt.num_samples));
   std::vector<double> arrival(static_cast<std::size_t>(c.num_nodes()));
-  double sum = 0.0;
-  double sum2 = 0.0;
+  double fold_n = 0.0;
+  double fold_mean = 0.0;
+  double fold_m2 = 0.0;
   const std::size_t chunks =
       (static_cast<std::size_t>(opt.num_samples) + kChunkSamples - 1) / kChunkSamples;
   for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-    std::mt19937_64 rng(stream_seed(opt.seed, chunk));
-    std::normal_distribution<double> unit(0.0, 1.0);
+    stat::NormalStream normal(stat::stream_seed(opt.seed, chunk));
     const int first = static_cast<int>(chunk) * kChunkSamples;
     const int last = std::min(first + kChunkSamples, opt.num_samples);
-    // Moments fold chunk-locally first, then combine in chunk order — the
-    // engine's associativity, which a flat running sum would not reproduce.
-    double csum = 0.0;
-    double csum2 = 0.0;
     for (int trial = first; trial < last; ++trial) {
       for (NodeId id : c.topo_order()) {
         const netlist::Node& n = c.node(id);
@@ -284,7 +276,7 @@ std::vector<double> ref_monte_carlo(const Circuit& c, const std::vector<NormalRV
           u = std::max(u, arrival[static_cast<std::size_t>(n.fanins[k])]);
         }
         const NormalRV& d = delays[static_cast<std::size_t>(id)];
-        double t = d.mu + d.sigma() * unit(rng);
+        double t = d.mu + d.sigma() * normal();
         if (opt.truncate_negative_delays && t < 0.0) t = 0.0;
         arrival[static_cast<std::size_t>(id)] = u + t;
       }
@@ -293,17 +285,35 @@ std::vector<double> ref_monte_carlo(const Circuit& c, const std::vector<NormalRV
         total = std::max(total, arrival[static_cast<std::size_t>(o)]);
       }
       samples[static_cast<std::size_t>(trial)] = total;
-      csum += total;
-      csum2 += total * total;
     }
-    sum += csum;
-    sum2 += csum2;
+    // Moments are centred chunk-locally (mean, then the sum of squared
+    // deviations about it), then merged in chunk order with Chan et al.'s
+    // update — the engine's associativity, which a flat running sum would
+    // not reproduce.
+    const double cn = static_cast<double>(last - first);
+    double csum = 0.0;
+    for (int trial = first; trial < last; ++trial) csum += samples[static_cast<std::size_t>(trial)];
+    const double cmean = csum / cn;
+    double cm2 = 0.0;
+    for (int trial = first; trial < last; ++trial) {
+      const double d = samples[static_cast<std::size_t>(trial)] - cmean;
+      cm2 += d * d;
+    }
+    if (chunk == 0) {
+      fold_n = cn;
+      fold_mean = cmean;
+      fold_m2 = cm2;
+      continue;
+    }
+    const double merged = fold_n + cn;
+    const double delta = cmean - fold_mean;
+    fold_mean += delta * (cn / merged);
+    fold_m2 += cm2 + delta * delta * (fold_n * cn / merged);
+    fold_n = merged;
   }
   std::sort(samples.begin(), samples.end());
-  const double n = static_cast<double>(opt.num_samples);
-  const double m = sum / n;
-  *mean = m;
-  *stddev = std::sqrt(std::max(0.0, sum2 / n - m * m));
+  *mean = fold_mean;
+  *stddev = std::sqrt(fold_m2 / fold_n);
   return samples;
 }
 

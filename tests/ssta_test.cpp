@@ -218,6 +218,34 @@ INSTANTIATE_TEST_SUITE_P(Circuits, SstaVsMonteCarlo,
                                            McCase{"dag", 150, 0.10, 0.70},
                                            McCase{"dag", 400, 0.10, 0.70}));
 
+TEST(MonteCarlo, StddevSurvivesLargeMeanAndTinySigma) {
+  // Regression: the moments were folded as raw sums, stddev =
+  // sqrt(sum2 / n - mean^2). At mean 1e4 and sigma 1e-5 the two terms agree
+  // in every bit a double holds, so the MC stddev came out exactly 0 while
+  // the samples spread as they should. Centred per-chunk moments keep it.
+  const Circuit c = make_chain(4);
+  std::vector<NormalRV> delays(static_cast<std::size_t>(c.num_nodes()));
+  for (NodeId id : c.topo_order()) {
+    if (c.node(id).kind == netlist::NodeKind::kGate) {
+      delays[static_cast<std::size_t>(id)] = NormalRV::from_sigma(2500.0, 5e-6);
+    }
+  }
+  const TimingReport ssta = run_ssta(c, delays);
+  ASSERT_NEAR(ssta.circuit_delay.mu, 1e4, 1e-9);
+  ASSERT_NEAR(ssta.circuit_delay.sigma(), 1e-5, 1e-12);
+
+  MonteCarloOptions opt;
+  opt.num_samples = 10000;
+  opt.seed = 7;
+  opt.truncate_negative_delays = false;
+  const MonteCarloResult mc = run_monte_carlo(c, delays, opt);
+  // Five standard errors of each estimate: sigma / sqrt(n) for the mean,
+  // about sigma / sqrt(2 n) for the standard deviation.
+  const double sigma = ssta.circuit_delay.sigma();
+  EXPECT_NEAR(mc.mean, ssta.circuit_delay.mu, 5.0 * sigma / std::sqrt(10000.0));
+  EXPECT_NEAR(mc.stddev, sigma, 5.0 * sigma / std::sqrt(20000.0));
+}
+
 TEST(MonteCarlo, QuantileAndYieldAreConsistent) {
   const Circuit c = make_tree_circuit();
   DelayCalculator calc(c);

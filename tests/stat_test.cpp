@@ -5,11 +5,19 @@
 //  * iid operands N(m, s^2): mu_C = m + s/sqrt(pi), var_C = s^2 (1 - 1/pi).
 //  * dominant operand (|muA - muB| >> theta): C == the larger operand.
 // Statistical anchor: Monte Carlo estimates over an operand grid.
+//
+// The seeded streams (SplitMix64, NormalStream) are checked on fixed seeds:
+// known SplitMix64 outputs, the normal stream's moments and tail masses
+// against Phi, and stream independence. Statistical bounds are five
+// standard errors of the estimate.
 
 #include "stat/clark.h"
 #include "stat/normal.h"
+#include "stat/random.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -280,6 +288,144 @@ TEST_P(ClarkMaxShrinkBound, VarianceShrinkIsBounded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClarkMaxShrinkBound, ::testing::Range(0, 6));
+
+// ---------------------------------------------------------------------------
+// Seeded streams: SplitMix64 and the Ziggurat NormalStream.
+// ---------------------------------------------------------------------------
+
+TEST(SplitMix64, MatchesReferenceOutputs) {
+  // The first outputs of Vigna's reference splitmix64.c from state 0.
+  SplitMix64 rng(0);
+  EXPECT_EQ(rng.next(), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(rng.next(), 0x6E789E6AA1B965F4ULL);
+  EXPECT_EQ(rng.next(), 0x06C45D188009454FULL);
+  // uniform01 is the top 53 bits of the next output.
+  SplitMix64 a(99);
+  SplitMix64 b(99);
+  for (int k = 0; k < 100; ++k) {
+    const double u = a.uniform01();
+    EXPECT_EQ(u, static_cast<double>(b.next() >> 11) * 0x1.0p-53);
+    EXPECT_GE(u, 0.0);
+    EXPECT_LT(u, 1.0);
+  }
+}
+
+TEST(SplitMix64, StreamSeedIsTheStreamthOutput) {
+  // stream_seed(seed, i) jumps straight to output i of SplitMix64(seed): the
+  // (seed, chunk) contract Monte Carlo's chunk streams are built on.
+  for (const std::uint64_t seed : {0ULL, 7ULL, 0xFFFFFFFFFFFFFFFFULL}) {
+    SplitMix64 rng(seed);
+    for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_EQ(stream_seed(seed, i), rng.next());
+  }
+}
+
+/// Sums of z^1..z^4 and tail counts over `n` draws of NormalStream(seed).
+struct DrawSummary {
+  double s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0;
+  long beyond3 = 0, beyond4 = 0;
+  long tail_pos = 0, tail_neg = 0;  ///< draws beyond the Ziggurat's r
+  long positive = 0;
+};
+
+DrawSummary summarize(std::uint64_t seed, long n) {
+  NormalStream normal(seed);
+  DrawSummary d;
+  for (long k = 0; k < n; ++k) {
+    const double z = normal();
+    const double z2 = z * z;
+    d.s1 += z;
+    d.s2 += z2;
+    d.s3 += z2 * z;
+    d.s4 += z2 * z2;
+    d.beyond3 += std::abs(z) > 3.0;
+    d.beyond4 += std::abs(z) > 4.0;
+    d.tail_pos += z > NormalStream::kTailStart;
+    d.tail_neg += z < -NormalStream::kTailStart;
+    d.positive += z > 0.0;
+  }
+  return d;
+}
+
+/// Expected count of |Z| > k in n draws, and five standard errors of it.
+void expect_tail_count(long count, long n, double k) {
+  const double p = 2.0 * normal_cdf(-k);
+  const double expected = p * static_cast<double>(n);
+  EXPECT_NEAR(static_cast<double>(count), expected, 5.0 * std::sqrt(expected * (1.0 - p)))
+      << "|z| > " << k;
+}
+
+TEST(NormalStream, FirstFourMomentsMatchStandardNormal) {
+  constexpr long kN = 2000000;
+  for (const std::uint64_t seed : {1ULL, 20260705ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const DrawSummary d = summarize(seed, kN);
+    const double n = static_cast<double>(kN);
+    // Standard errors of the raw-moment estimates: sqrt(Var(Z^k) / n) with
+    // Var(Z) = 1, Var(Z^2) = 2, Var(Z^3) = 15, Var(Z^4) = 96.
+    EXPECT_NEAR(d.s1 / n, 0.0, 5.0 * std::sqrt(1.0 / n));
+    EXPECT_NEAR(d.s2 / n, 1.0, 5.0 * std::sqrt(2.0 / n));
+    EXPECT_NEAR(d.s3 / n, 0.0, 5.0 * std::sqrt(15.0 / n));
+    EXPECT_NEAR(d.s4 / n, 3.0, 5.0 * std::sqrt(96.0 / n));
+  }
+}
+
+TEST(NormalStream, TailMassMatchesNormalCdf) {
+  constexpr long kN = 4000000;
+  for (const std::uint64_t seed : {3ULL, 11ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const DrawSummary d = summarize(seed, kN);
+    expect_tail_count(d.beyond3, kN, 3.0);
+    expect_tail_count(d.beyond4, kN, 4.0);
+  }
+}
+
+TEST(NormalStream, TailBranchRunsAndSignsAreSymmetric) {
+  // |z| > r is reachable only through the exact exponential tail, so these
+  // counts pin that branch: it runs, at the rate 2 Phi(-r), on both sides.
+  constexpr long kN = 4000000;
+  const DrawSummary d = summarize(5, kN);
+  const long tail = d.tail_pos + d.tail_neg;
+  EXPECT_GT(d.tail_pos, 0);
+  EXPECT_GT(d.tail_neg, 0);
+  expect_tail_count(tail, kN, NormalStream::kTailStart);
+  // Each tail draw lands on either side with probability 1/2.
+  EXPECT_NEAR(static_cast<double>(d.tail_pos - d.tail_neg), 0.0,
+              5.0 * std::sqrt(static_cast<double>(tail)));
+  EXPECT_NEAR(static_cast<double>(d.positive) / kN, 0.5, 5.0 * 0.5 / std::sqrt(double(kN)));
+}
+
+TEST(NormalStream, SameSeedSameSequence) {
+  NormalStream a(42);
+  NormalStream b(42);
+  NormalStream c(43);
+  int differ = 0;
+  for (int k = 0; k < 100000; ++k) {
+    const double x = a();
+    ASSERT_EQ(x, b()) << "draw " << k;
+    differ += x != c();
+  }
+  EXPECT_GT(differ, 99000);
+}
+
+TEST(NormalStream, AdjacentChunkStreamsAreUncorrelated) {
+  // Monte Carlo chunk i draws from NormalStream(stream_seed(seed, i)); paired
+  // draws of neighbouring chunks must show no correlation.
+  constexpr int kChunks = 16;
+  constexpr int kDraws = 65536;
+  std::vector<std::vector<double>> draws(kChunks, std::vector<double>(kDraws));
+  for (int c = 0; c < kChunks; ++c) {
+    NormalStream normal(stream_seed(1, static_cast<std::uint64_t>(c)));
+    for (double& z : draws[static_cast<std::size_t>(c)]) z = normal();
+  }
+  for (std::size_t c = 0; c + 1 < kChunks; ++c) {
+    double sxy = 0.0;
+    for (int k = 0; k < kDraws; ++k) {
+      sxy += draws[c][static_cast<std::size_t>(k)] * draws[c + 1][static_cast<std::size_t>(k)];
+    }
+    // E[XY] = 0 with standard error 1 / sqrt(n) for independent N(0, 1).
+    EXPECT_NEAR(sxy / kDraws, 0.0, 5.0 / std::sqrt(double(kDraws))) << "chunks " << c;
+  }
+}
 
 }  // namespace
 }  // namespace statsize::stat
