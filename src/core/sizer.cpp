@@ -278,17 +278,15 @@ SizingResult Sizer::run_impl(const SizerOptions& options, const std::vector<doub
 SizingResult Sizer::run_attempt(const SizerOptions& options, const std::vector<double>& start,
                                 double rho_scale, const SizingWarmStart* warm) const {
   return options.method == Method::kFullSpace
-             ? run_full_space(options, start, rho_scale, warm)
+             ? run_full_space(options, start, rho_scale)
              : run_reduced_space(options, start, rho_scale, warm);
 }
 
 SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vector<double>& start,
-                                   double rho_scale, const SizingWarmStart* warm_in) const {
+                                   double rho_scale) const {
   std::vector<double> s0 = start;
   SizingResult warm;
-  // An ECO warm start replaces the reduced-space pre-solve: the previous
-  // solution's sizes already play the feasible-start role.
-  const bool presolve = options.warm_start_full_space && warm_in == nullptr;
+  const bool presolve = options.warm_start_full_space;
   if (presolve) {
     SizerOptions pre = options;
     pre.method = Method::kReducedSpace;
@@ -305,21 +303,15 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
   al.max_outer_iterations = options.max_outer_iterations;
   al.max_inner_iterations = options.max_inner_iterations;
   al.verbose = options.verbose;
-  nlp::WarmStart nlp_warm;  // empty fields = cold defaults
-  if (warm_in != nullptr) {
-    if (static_cast<int>(warm_in->multipliers.size()) == form.problem->num_constraints()) {
-      nlp_warm.multipliers = warm_in->multipliers;
-    }
-    nlp_warm.rho = warm_in->rho;
-  } else if (presolve) {
-    // The pre-solve ends at a first-order point; its multipliers (the adjoint
-    // of the timing equations) certify it in the full space too. Zero
-    // multipliers would make the first subproblem push the feasible start
-    // out to ||c|| ~ 0.1 and spend the later outer iterations walking back.
-    nlp_warm.multipliers =
-        nlp::least_squares_multipliers(*form.problem, form.problem->start(), options.optimality_tol);
-  }
-  const nlp::SolveResult sol = nlp::solve_augmented_lagrangian(*form.problem, al, nlp_warm);
+  // The pre-solve ends at a first-order point; its multipliers (the adjoint
+  // of the timing equations) certify it in the full space too. Zero
+  // multipliers would make the first subproblem push the feasible start out
+  // to ||c|| ~ 0.1 and spend the later outer iterations walking back.
+  const std::vector<double> multipliers =
+      presolve ? nlp::least_squares_multipliers(*form.problem, form.problem->start(),
+                                                options.optimality_tol)
+               : std::vector<double>{};
+  const nlp::SolveResult sol = nlp::solve_augmented_lagrangian(*form.problem, al, multipliers);
 
   SizingResult result;
   result.converged = sol.ok();
@@ -333,8 +325,6 @@ SizingResult Sizer::run_full_space(const SizerOptions& options, const std::vecto
   result.checkpoint_outer = sol.checkpoint_outer;
   result.breakdown_site = sol.breakdown_site;
   result.warm.speed = result.speed;
-  result.warm.multipliers = sol.multipliers;
-  result.warm.rho = sol.final_rho;
 
   // A non-converged augmented-Lagrangian run can drift off the warm-start
   // optimum; never return something worse than the point we started from.

@@ -66,15 +66,15 @@ struct SizerOptions {
 /// Carry-over state from a previous solve of a nearby instance — the sizing
 /// layer's warm start for ECO re-sizing (DESIGN.md §12). Every SizingResult
 /// records one (`result.warm`); feed it to Sizer::resize after editing the
-/// instance (via TimingView::update_node_params / clone_with_library) and the
-/// solve starts from the old sizes and multiplier/penalty state instead of
-/// re-estimating them from scratch, which is where the outer iterations are
-/// saved. Empty/zero fields fall back to the cold defaults.
+/// instance (via TimingView::update_node_params / clone_with_library). The
+/// old sizes become the start point; a reduced-space resize also resumes its
+/// delay multiplier and penalty instead of re-estimating them from scratch,
+/// which is where its outer iterations are saved. A full-space result
+/// records speeds only. Empty/zero fields fall back to the cold defaults.
 struct SizingWarmStart {
-  std::vector<double> speed;        ///< per NodeId; empty = default start
-  std::vector<double> multipliers;  ///< full-space AugLag multipliers
-  double lambda = 0.0;              ///< reduced-space scalar delay multiplier
-  double rho = 0.0;                 ///< penalty parameter; <= 0 = cold default
+  std::vector<double> speed;  ///< per NodeId; empty = default start
+  double lambda = 0.0;        ///< reduced-space scalar delay multiplier
+  double rho = 0.0;           ///< reduced-space penalty; <= 0 = cold default
 };
 
 struct SizingResult {
@@ -130,11 +130,11 @@ class Sizer {
 
   /// Re-solves after an ECO perturbation, warm-starting from a previous
   /// result's `warm` state (DESIGN.md §12): the old sizes become the start
-  /// point and the multiplier/penalty loop resumes from the old lambda/rho
-  /// instead of the cold schedule. On a nearby instance this converges in
-  /// fewer outer iterations than `run` (pinned by tests). Full-space resizes
-  /// additionally skip the reduced-space pre-solve — the warm sizes already
-  /// play that role.
+  /// point. In the reduced space the multiplier/penalty loop resumes from the
+  /// old lambda/rho instead of the cold schedule, so on a nearby instance it
+  /// converges in fewer outer iterations than `run` (pinned by tests). A
+  /// full-space resize is exactly `run(options, warm.speed)`: the same
+  /// pre-solve, least-squares multipliers and augmented Lagrangian.
   SizingResult resize(const SizerOptions& options, const SizingWarmStart& warm) const;
 
   const SizingSpec& spec() const { return spec_; }
@@ -144,11 +144,12 @@ class Sizer {
                         const SizingWarmStart* warm) const;
   /// One solve from `start`. `rho_scale` backs the initial penalty off on
   /// retries after a penalty explosion (1.0 on the first attempt). `warm`
-  /// (nullable) carries multiplier/penalty state into the outer loop.
+  /// (nullable) carries multiplier/penalty state into the reduced-space
+  /// outer loop; the full space ignores it.
   SizingResult run_attempt(const SizerOptions& options, const std::vector<double>& start,
                            double rho_scale, const SizingWarmStart* warm) const;
   SizingResult run_full_space(const SizerOptions& options, const std::vector<double>& start,
-                              double rho_scale, const SizingWarmStart* warm) const;
+                              double rho_scale) const;
   /// `absolute_feasibility` holds the delay constraint to feasibility_tol
   /// itself rather than feasibility_tol * (1 + |bound|) — the full-space
   /// pre-solve's test, matching the augmented Lagrangian's.

@@ -386,43 +386,35 @@ struct Checkpoint {
 }  // namespace
 
 SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptions& options) {
-  return solve_augmented_lagrangian(problem, options, WarmStart{});
+  return solve_augmented_lagrangian(problem, options, std::vector<double>{});
 }
 
 SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptions& options,
-                                       const WarmStart& warm) {
+                                       const std::vector<double>& multipliers) {
   problem.validate();
   const int m = problem.num_constraints();
-  if (!warm.x.empty() && static_cast<int>(warm.x.size()) != problem.num_vars()) {
-    throw std::invalid_argument("solve_augmented_lagrangian: warm start x has " +
-                                std::to_string(warm.x.size()) + " entries but the problem has " +
-                                std::to_string(problem.num_vars()) + " variables");
-  }
-  if (!warm.multipliers.empty() && static_cast<int>(warm.multipliers.size()) != m) {
-    throw std::invalid_argument("solve_augmented_lagrangian: warm start carries " +
-                                std::to_string(warm.multipliers.size()) +
-                                " multipliers but the problem has " + std::to_string(m) +
+  if (!multipliers.empty() && static_cast<int>(multipliers.size()) != m) {
+    throw std::invalid_argument("solve_augmented_lagrangian: " +
+                                std::to_string(multipliers.size()) +
+                                " initial multipliers but the problem has " + std::to_string(m) +
                                 " constraints");
-  }
-  if (!std::isfinite(warm.rho)) {
-    throw std::invalid_argument("solve_augmented_lagrangian: warm start rho is not finite");
   }
 
   SolveResult result;
-  result.x = warm.x.empty() ? problem.start() : warm.x;
+  result.x = problem.start();
   for (int i = 0; i < problem.num_vars(); ++i) {
     result.x[static_cast<std::size_t>(i)] =
         std::clamp(result.x[static_cast<std::size_t>(i)], problem.lower()[static_cast<std::size_t>(i)],
                    problem.upper()[static_cast<std::size_t>(i)]);
   }
-  if (warm.multipliers.empty()) {
+  if (multipliers.empty()) {
     result.multipliers.assign(static_cast<std::size_t>(m), 0.0);
   } else {
-    result.multipliers = warm.multipliers;
+    result.multipliers = multipliers;
   }
   const std::vector<double> x_start = result.x;
 
-  double rho = warm.rho > 0.0 ? std::min(warm.rho, options.max_rho) : options.initial_rho;
+  double rho = options.initial_rho;
   double eta = 1.0 / std::pow(rho, 0.1);
   double omega = 1.0 / rho;
 

@@ -82,22 +82,6 @@ struct SolveResult {
   std::string status_string() const;
 };
 
-/// Carry-over state from a previous solve of a *nearby* problem (an ECO
-/// perturbation of the instance) — the multiplier/penalty warm start the
-/// sizing layer threads through Sizer::resize (DESIGN.md §12). Empty fields
-/// fall back to the cold defaults: empty `x` → problem.start() (then clamped
-/// to bounds, as always), empty `multipliers` → zeros, `rho` <= 0 →
-/// options.initial_rho. Non-empty fields must match the problem's dimensions
-/// (std::invalid_argument otherwise). Reusing converged multipliers near the
-/// old solution lets the outer loop start at (or near) the correct
-/// first-order point instead of re-estimating lambda from zero, which is
-/// where the ECO resize saves its outer iterations.
-struct WarmStart {
-  std::vector<double> x;
-  std::vector<double> multipliers;
-  double rho = 0.0;  ///< <= 0 means options.initial_rho
-};
-
 /// Least-squares multiplier estimate at `x`:
 ///
 ///   argmin_lambda || P (grad f(x) - J(x)^T lambda) ||_2
@@ -123,10 +107,13 @@ std::vector<double> least_squares_multipliers(const Problem& problem, const std:
 /// Solves `problem` starting from problem.start().
 SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptions& options = {});
 
-/// Solves `problem` from the warm start (see WarmStart; the plain overload
-/// is exactly this with an empty warm start).
+/// Solves `problem` starting from problem.start() with the given initial
+/// multipliers (one per constraint; empty means zeros, which is exactly the
+/// plain overload; any other size throws std::invalid_argument). Sizer passes
+/// least_squares_multipliers at its pre-solved start, so the outer loop starts
+/// at the first-order point instead of re-estimating lambda from zero.
 SolveResult solve_augmented_lagrangian(const Problem& problem, const AugLagOptions& options,
-                                       const WarmStart& warm);
+                                       const std::vector<double>& multipliers);
 
 /// The Psi model itself — exposed for tests and for reuse by the
 /// reduced-space sizer's constraint handling.

@@ -61,7 +61,7 @@ int threads() {
 
 void set_threads(int n) {
   const std::lock_guard<std::mutex> lock(g_mutex);
-  if (n < 1) n = 1;
+  if (n < 1) n = default_threads();
   if (n > kMaxJobs) n = kMaxJobs;
   if (n == g_threads) return;
   g_threads = n;

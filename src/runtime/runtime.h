@@ -4,7 +4,7 @@
 // controls parallelism (timing sweeps and the NLP layer are serial;
 // DESIGN.md §7):
 //
-//   * runtime::set_threads(n)      — programmatic (CLI --jobs)
+//   * runtime::set_threads(n)      — programmatic (CLI --jobs; n < 1 = default)
 //   * STATSIZE_JOBS=<n>            — environment default
 //   * std::thread::hardware_concurrency() otherwise
 //
@@ -25,7 +25,7 @@ namespace statsize::runtime {
 
 /// Upper bound on a thread-count setting. STATSIZE_JOBS values above it are
 /// treated as malformed (fall back to hardware concurrency with a warning);
-/// programmatic set_threads clamps into [1, kMaxJobs].
+/// programmatic set_threads clamps to kMaxJobs.
 inline constexpr int kMaxJobs = 1024;
 
 /// Validates a STATSIZE_JOBS-style string: a whole-string positive integer in
@@ -41,9 +41,11 @@ int resolve_jobs_value(const char* value, int fallback, std::string* warning = n
 /// falling back to hardware concurrency.
 int threads();
 
-/// Overrides the global thread count (clamped to [1, kMaxJobs]) and drops the old
-/// pool; the next parallel call lazily builds a pool of the new size. Not
-/// safe to call concurrently with in-flight parallel work.
+/// Overrides the global thread count (clamped to kMaxJobs) and drops the old
+/// pool; the next parallel call lazily builds a pool of the new size. `n < 1`
+/// restores the default (STATSIZE_JOBS, else hardware concurrency), which is
+/// what `--jobs 0` means. Not safe to call concurrently with in-flight
+/// parallel work.
 void set_threads(int n);
 
 /// Threads the hardware offers (>= 1), independent of the current setting.

@@ -85,8 +85,9 @@ struct CachedCircuit {
     return warm_;
   }
   /// This entry's memo, else the nearest ancestor's (a freshly PATCHed entry
-  /// has no solve of its own yet — the parent's multipliers are the warm
-  /// start the ECO resize wants). Null when nothing along the chain sized.
+  /// has no solve of its own yet — the parent's speeds, delay multiplier and
+  /// penalty are the warm start the ECO resize wants). Null when nothing
+  /// along the chain sized.
   std::shared_ptr<const core::SizingWarmStart> resolve_warm() const {
     for (const CachedCircuit* e = this; e != nullptr; e = e->base.get()) {
       if (auto w = e->last_warm()) return w;

@@ -662,7 +662,7 @@ void JobScheduler::run_job(Job& job) {
         if (derived) {
           // ECO resize (DESIGN.md §12): size against the edited view,
           // warm-starting from the nearest solved ancestor's sizes and
-          // multiplier/penalty state when one exists.
+          // delay multiplier/penalty when one exists.
           core::Sizer sizer(view, spec);
           const std::shared_ptr<const core::SizingWarmStart> warm =
               job.circuit->resolve_warm();

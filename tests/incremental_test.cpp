@@ -11,8 +11,10 @@
 
 #include "ssta/incremental.h"
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -535,6 +537,55 @@ TEST(SizerWarmStart, WarmResizeConvergesInFewerOuterIterationsThanCold) {
   EXPECT_LT(warm.outer_iterations, cold.outer_iterations);
   EXPECT_NEAR(warm.sum_speed, cold.sum_speed, 0.05 * cold.sum_speed + 0.1);
   EXPECT_LE(warm.constraint_violation, 1e-3);
+}
+
+TEST(SizerWarmStart, FullSpaceResizeIsAFreshRunFromTheWarmSpeeds) {
+  // min sum(S) s.t. mu + k sigma <= D, then D tightened 2%: a full-space
+  // resize runs the same pre-solve, least-squares multipliers and augmented
+  // Lagrangian as run() from the old speeds, so it certifies the new optimum
+  // in one trust-region iteration and lands where a fresh run does.
+  struct Case {
+    const char* circuit;
+    double k;
+  };
+  core::SizerOptions full;
+  full.method = core::Method::kFullSpace;
+  for (const Case& tc : {Case{"apex2", 0.0}, Case{"apex2", 1.0}, Case{"apex2", 3.0},
+                         Case{"k2", 3.0}}) {
+    SCOPED_TRACE(std::string(tc.circuit) + " k=" + std::to_string(tc.k));
+    const Circuit c = netlist::make_mcnc_like(tc.circuit);
+    core::SizingSpec spec;
+    spec.objective = core::Objective::min_area();
+    const ssta::DelayCalculator calc(c, spec.sigma_model);
+    std::vector<double> s(static_cast<std::size_t>(c.num_nodes()), spec.max_speed);
+    const double mu_min = ssta::run_ssta(calc, s).circuit_delay.mu;
+    std::fill(s.begin(), s.end(), 1.0);
+    const double mu_max = ssta::run_ssta(calc, s).circuit_delay.mu;
+    const double bound = mu_min + 0.45 * (mu_max - mu_min);
+
+    spec.delay_constraint = core::DelayConstraint::at_most(bound, tc.k);
+    const core::SizingResult base = core::Sizer(c, spec).run(full);
+    ASSERT_TRUE(base.converged) << base.status;
+
+    spec.delay_constraint = core::DelayConstraint::at_most(0.98 * bound, tc.k);
+    const core::Sizer tightened(c, spec);
+    const core::SizingResult resized = tightened.resize(full, base.warm);
+    const core::SizingResult from_speeds = tightened.run(full, base.speed);
+    const core::SizingResult fresh = tightened.run(full);
+
+    EXPECT_EQ(resized.status, from_speeds.status);
+    EXPECT_EQ(resized.iterations, from_speeds.iterations);
+    EXPECT_EQ(resized.outer_iterations, from_speeds.outer_iterations);
+    EXPECT_EQ(resized.speed, from_speeds.speed);
+    EXPECT_EQ(resized.objective_value, from_speeds.objective_value);
+
+    ASSERT_TRUE(resized.converged) << resized.status;
+    EXPECT_EQ(resized.status, "full-space/converged");
+    EXPECT_EQ(resized.outer_iterations, 1);
+    EXPECT_EQ(resized.iterations, 1);
+    ASSERT_TRUE(fresh.converged) << fresh.status;
+    EXPECT_NEAR(resized.sum_speed, fresh.sum_speed, 1e-7 * fresh.sum_speed);
+  }
 }
 
 }  // namespace

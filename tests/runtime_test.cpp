@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -108,8 +109,18 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
 
 TEST(Runtime, SetThreadsClampsAndSticks) {
   ThreadGuard guard;
+  // n < 1 restores the default, as --jobs 0 does: STATSIZE_JOBS, else all
+  // hardware threads.
+  const char* env = std::getenv("STATSIZE_JOBS");
+  const int default_threads = env != nullptr
+                                  ? runtime::resolve_jobs_value(env, runtime::hardware_threads())
+                                  : runtime::hardware_threads();
+  runtime::set_threads(1);
   runtime::set_threads(0);
-  EXPECT_EQ(runtime::threads(), 1);
+  EXPECT_EQ(runtime::threads(), default_threads);
+  runtime::set_threads(1);
+  runtime::set_threads(-5);
+  EXPECT_EQ(runtime::threads(), default_threads);
   runtime::set_threads(3);
   EXPECT_EQ(runtime::threads(), 3);
   EXPECT_EQ(runtime::global_pool().num_threads(), 3);

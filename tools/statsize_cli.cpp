@@ -153,7 +153,7 @@ int run_lint(int argc, char** argv) {
 
   try {
     if (!args.parse(argc, argv)) return 0;
-    if (const int jobs = args.get_int("jobs"); jobs > 0) runtime::set_threads(jobs);
+    runtime::set_threads(args.get_int("jobs"));
 
     if (args.get_flag("list-rules")) {
       std::printf("%-8s %-8s %-8s %-28s %s\n", "id", "family", "severity", "title", "detail");
@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
 
   try {
     if (!args.parse(argc, argv)) return 0;
-    if (const int jobs = args.get_int("jobs"); jobs > 0) runtime::set_threads(jobs);
+    runtime::set_threads(args.get_int("jobs"));
     // STATSIZE_FAULT=<site>:<hit> arms the deterministic fault injector
     // (testing/chaos use; a no-op when unset).
     runtime::fault::arm_from_env();

@@ -80,7 +80,7 @@ int run_serve(int argc, char** argv) {
   args.add_string("journal-fsync", "journal durability: none | always", "none");
   args.add_int("jobs", "worker threads (0 = STATSIZE_JOBS or hardware)", 0);
   if (!args.parse(argc, argv)) return 0;
-  if (const int jobs = args.get_int("jobs"); jobs > 0) runtime::set_threads(jobs);
+  runtime::set_threads(args.get_int("jobs"));
 
   serve::ServerOptions options;
   options.port = args.get_int("port");
@@ -133,7 +133,7 @@ int run_ssta(int argc, char** argv) {
   args.add_double("speed", "uniform speed factor applied to every gate", 1.0);
   args.add_int("jobs", "worker threads (0 = STATSIZE_JOBS or hardware)", 0);
   if (!args.parse(argc, argv)) return 0;
-  if (const int jobs = args.get_int("jobs"); jobs > 0) runtime::set_threads(jobs);
+  runtime::set_threads(args.get_int("jobs"));
 
   const netlist::Circuit circuit = load_local_circuit(args.get_string("circuit"));
   const ssta::DelayCalculator calc(
